@@ -179,6 +179,8 @@ let touch t k =
     `Miss evicted
   end
 
+let least_recent t = if t.tail < 0 then None else Some t.key.(t.tail)
+
 let remove t k =
   match hfind t k with
   | -1 -> false

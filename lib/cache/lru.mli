@@ -36,6 +36,10 @@ val touch_hit : t -> int -> bool
     the same recency update and (on miss) insertion/eviction, returning
     only whether the access hit.  This is the simulation hot path. *)
 
+val least_recent : t -> int option
+(** The least-recently-used key, or [None] if empty; does {e not} update
+    recency. *)
+
 val remove : t -> int -> bool
 (** [remove t k] deletes [k]; returns whether it was present. *)
 

@@ -81,13 +81,8 @@ let encode (d : dump) =
 
 let write ~path d = Binio.write_file ~path ~magic ~version (encode d)
 
-let ensure_dir dir =
-  if not (Sys.file_exists dir) then
-    try Sys.mkdir dir 0o755
-    with Sys_error _ when Sys.file_exists dir -> ()
-
 let dump t ~dir ~trigger ~pid ~at_us =
-  ensure_dir dir;
+  Binio.ensure_dir dir;
   (* One file per (worker, trigger), newest wins: a graceful-shutdown
      dump can never clobber the deadline-exceeded evidence. *)
   let path =

@@ -59,7 +59,8 @@ val dump : t -> dir:string -> trigger:string -> pid:int -> at_us:int -> string
     if needed; returns the path.  One file per (worker, trigger), newest
     wins — a later graceful-shutdown dump never overwrites the
     deadline-exceeded evidence.  [trigger] must be filename-safe.
-    @raise Sys_error on I/O failure. *)
+    @raise Sys_error on I/O failure.
+    @raise Ccs_sdf.Error.Error with [Io] if [dir] is not a directory. *)
 
 val load : path:string -> (dump, Ccs_sdf.Error.t) result
 (** Read a dump back, validating the whole frame and payload schema. *)

@@ -14,7 +14,7 @@ type kind = Counter | Gauge | Histogram
 type series = {
   name : string;
   labels : (string * string) list;
-  help : string;
+  mutable help : string; (* filled in by [merge_json] if registered bare *)
   kind : kind;
   base : int; (* first slot in [cells] *)
 }
@@ -75,7 +75,7 @@ let alloc t n =
    existing series returns the same slots, so layered instrumentation
    (machine + supervisor + CLI) can share one registry without
    coordination.  Re-registering under a different kind is a programming
-   error and raises. *)
+   error and raises.  Returns the series. *)
 let register t ~kind ~help ~labels name =
   if not (valid_name name) then
     invalid_arg (Printf.sprintf "Metrics: invalid metric name %S" name);
@@ -92,7 +92,7 @@ let register t ~kind ~help ~labels name =
         invalid_arg
           (Printf.sprintf "Metrics: %s already registered as a %s" name
              (kind_name s.kind));
-      s.base
+      s
   | None ->
       (match List.find_opt (fun s -> s.name = name) t.series with
       | Some s when s.kind <> kind ->
@@ -103,19 +103,19 @@ let register t ~kind ~help ~labels name =
       let slots =
         match kind with Counter | Gauge -> 1 | Histogram -> 2 + num_buckets
       in
-      let base = alloc t slots in
-      t.series <- { name; labels; help; kind; base } :: t.series;
+      let s = { name; labels; help; kind; base = alloc t slots } in
+      t.series <- s :: t.series;
       t.count <- t.count + 1;
-      base
+      s
 
 let counter t ?(help = "") ?(labels = []) name =
-  { ct = t; cbase = register t ~kind:Counter ~help ~labels name }
+  { ct = t; cbase = (register t ~kind:Counter ~help ~labels name).base }
 
 let gauge t ?(help = "") ?(labels = []) name =
-  { gt = t; gbase = register t ~kind:Gauge ~help ~labels name }
+  { gt = t; gbase = (register t ~kind:Gauge ~help ~labels name).base }
 
 let histogram t ?(help = "") ?(labels = []) name =
-  { ht = t; hbase = register t ~kind:Histogram ~help ~labels name }
+  { ht = t; hbase = (register t ~kind:Histogram ~help ~labels name).base }
 
 let num_series t = t.count
 
@@ -318,3 +318,54 @@ let to_json t =
     ]
 
 let to_json_string t = Json.to_string (to_json t)
+
+(* The inverse of [to_json], summing: each entry becomes a list of
+   (slot offset, delta) pairs added into its series' cells — a counter or
+   gauge is [(0, value)], a histogram its count, sum and one delta per
+   bucket (a bound lands in the bucket holding that value, so the
+   [bucket_le] bounds [to_json] writes map back exactly).  Any defect in
+   an entry drops that entry alone. *)
+let merge_json t doc =
+  let field conv f v = Option.bind (Json.member f v) conv in
+  let int = field Json.to_int and str = field Json.to_str in
+  let bucket b =
+    match (int "le" b, int "count" b) with
+    | Some le, Some n -> Some (2 + bucket_of le, n)
+    | _ -> None
+  in
+  let deltas kind v =
+    match (kind, int "value" v, int "count" v, int "sum" v) with
+    | (Counter | Gauge), Some n, _, _ -> Some [ (0, n) ]
+    | Histogram, _, Some count, Some sum ->
+        let buckets = field Json.to_list "buckets" v in
+        Some
+          ((0, count) :: (1, sum)
+          :: List.filter_map bucket (Option.value ~default:[] buckets))
+    | _ -> None
+  in
+  let labels v =
+    match Json.member "labels" v with
+    | Some (Json.Obj fields) ->
+        List.filter_map
+          (fun (k, l) -> Option.map (fun l -> (k, l)) (Json.to_str l))
+          fields
+    | _ -> []
+  in
+  let entry kind v =
+    match (str "name" v, deltas kind v) with
+    | Some name, Some deltas -> (
+        let help = Option.value ~default:"" (str "help" v) in
+        match register t ~kind ~help ~labels:(labels v) name with
+        | exception Invalid_argument _ -> ()
+        | s ->
+            if s.help = "" then s.help <- help;
+            List.iter
+              (fun (off, n) ->
+                t.cells.(s.base + off) <- t.cells.(s.base + off) + n)
+              deltas)
+    | _ -> ()
+  in
+  List.iter
+    (fun (section, kind) ->
+      Option.iter (List.iter (entry kind)) (field Json.to_list section doc))
+    [ ("counters", Counter); ("gauges", Gauge); ("histograms", Histogram) ]

@@ -80,3 +80,13 @@ val to_prometheus : t -> string
 
 val to_json : t -> Json.value
 val to_json_string : t -> string
+
+val merge_json : t -> Json.value -> unit
+(** [merge_json t doc] adds a {!to_json} document into [t], summing it
+    into the series [t] already has by [(name, labels)] and registering
+    the rest in document order.  A series registered without help takes
+    the document's.  Merging per-worker documents into a fresh registry
+    and rendering it with {!to_prometheus} gives one page for a whole
+    multi-process daemon.  The document is outside input: a malformed
+    entry, an invalid name or a kind conflict drops that entry, never
+    raises. *)

@@ -163,16 +163,6 @@ let fallback_plan graph ~capacities =
 
 (* --- the adaptive loop ---------------------------------------------------- *)
 
-let ensure_dir dir =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
-  else if not (Sys.is_directory dir) then
-    E.fail
-      (E.Io
-         {
-           path = dir;
-           reason = "checkpoint directory exists but is not a directory";
-         })
-
 let run ?(policy = default_policy) ?(env = []) ?(adapt = true) ?checkpoint_dir
     ?(checkpoint_every = 4) ?epoch_outputs ?counters ?tracer ?metrics ?log
     ?prepare ?on_epoch ~graph ~cache ~planner ~outputs () =
@@ -188,7 +178,7 @@ let run ?(policy = default_policy) ?(env = []) ?(adapt = true) ?checkpoint_dir
     match log with Some l -> Log.log l level event fields | None -> ()
   in
   E.protect (fun () ->
-      Option.iter ensure_dir checkpoint_dir;
+      Option.iter Ccs_sdf.Binio.ensure_dir checkpoint_dir;
       let initial = planner cache in
       let epoch_outputs =
         match epoch_outputs with

@@ -88,16 +88,6 @@ let prune ~keep dir =
       (fun i (_, path) -> if i < excess then try Sys.remove path with _ -> ())
       all
 
-let ensure_dir dir =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
-  else if not (Sys.is_directory dir) then
-    E.fail
-      (E.Io
-         {
-           path = dir;
-           reason = "checkpoint directory exists but is not a directory";
-         })
-
 (* --- fault identity ------------------------------------------------------- *)
 
 (* A stable name for "what failed where", used to detect deterministic
@@ -171,7 +161,7 @@ let run ?(config = default_config) ?checkpoint_dir ?(resume = false)
   in
   let plan_digest = Plan.id plan in
   E.protect (fun () ->
-      Option.iter ensure_dir checkpoint_dir;
+      Option.iter Ccs_sdf.Binio.ensure_dir checkpoint_dir;
       ev Log.Info "run_start"
         [
           ("plan", Json.String plan.Plan.name);

@@ -129,6 +129,18 @@ let write_atomic ?(binary = false) ~path content =
     (try Sys.remove tmp with Sys_error _ -> ());
     raise e
 
+(* A sibling worker may create [dir] between the existence test and the
+   mkdir; that failure is fine as long as the directory is there now. *)
+let rec ensure_dir dir =
+  if not (Sys.file_exists dir) then begin
+    let parent = Filename.dirname dir in
+    if parent <> dir then ensure_dir parent;
+    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
+  end;
+  if not (Sys.is_directory dir) then
+    Error.fail
+      (Error.Io { path = dir; reason = "exists but is not a directory" })
+
 let write_file ~path ~magic ~version payload =
   check_magic magic;
   let b = Buffer.create (header_bytes + String.length payload) in

@@ -54,6 +54,13 @@ val write_atomic : ?binary:bool -> path:string -> string -> unit
     binary mode for the temp channel.
     @raise Sys_error on I/O failure. *)
 
+val ensure_dir : string -> unit
+(** [ensure_dir dir] creates [dir] and any missing parents (mode
+    [0o755]), for the writers above.  Losing a creation race to a
+    concurrent process is not an error.
+    @raise Error.Error with [Io] if [dir] exists and is not a directory.
+    @raise Sys_error if a directory cannot be created. *)
+
 val write_file : path:string -> magic:string -> version:int -> string -> unit
 (** [write_file ~path ~magic ~version payload] frames the payload and
     writes it with {!write_atomic}, so a crash mid-write never leaves a

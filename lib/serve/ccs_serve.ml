@@ -7,10 +7,9 @@
     digest, cache configuration, pinned capacities, planner version — so
     repeat requests are answered from disk.  Request/cache/error counters
     and latency histograms are published per worker and merged for
-    Prometheus scrapes ({!Snapshot}, {!Server.scrape}). *)
+    Prometheus scrapes ({!Server.scrape}, through {!Ccs.Metrics.merge_json}). *)
 
 module Protocol = Protocol
 module Lru_index = Lru_index
 module Plan_cache = Plan_cache
-module Snapshot = Snapshot
 module Server = Server

@@ -1,210 +1,113 @@
-(* Intrusive, weighted LRU index over string keys.
+(* Weighted LRU index over string keys, as a thin layer on the cache
+   simulator's Lru.
 
-   The same idiom as the cache simulator's Lru (lib/cache/lru.ml): all
-   structure lives in parallel arrays — slots form a doubly-linked
-   recency list through [prev]/[next] (-1 is nil) and an open-addressed
-   hash table maps keys to slots — so a touch is an unlink plus a
-   push-front of int indices, no allocation.  Two differences fit the
-   plan store: keys are strings (plan-key digests) carrying a weight
-   (record bytes) and a value, and the arrays grow by doubling instead
-   of being fixed at creation, because a store's entry bound may be "no
-   bound, only bytes".
+   Each live key gets a small int id; [ids] maps the key to it, and the
+   per-id arrays hold the key, its weight and its value.  Recency is an
+   [Lru.t] over the ids, so the eviction order is the simulator's own.
+   Ids are handed out densely (freed ids first), so every live id is
+   below the recency set's capacity; when all of them are taken, the
+   arrays double and [Lru.resize] carries the recency order over
+   unchanged.
 
    Used twice by the daemon: as the bounded plan store's in-memory index
    (value = unit, weight = record size on disk) and as the per-worker
    hot cache (value = decoded artifact, weight = 1). *)
 
 type 'a t = {
-  mutable key : string array; (* key stored in each live slot *)
-  mutable value : 'a option array;
+  ids : (string, int) Hashtbl.t;
+  mutable order : Ccs.Lru.t; (* recency over the live ids *)
+  mutable key : string array;
   mutable weight : int array;
-  mutable prev : int array; (* -1 = nil *)
-  mutable next : int array; (* recency chain for live slots, free chain otherwise *)
-  mutable head : int; (* most recently used slot, -1 if empty *)
-  mutable tail : int; (* least recently used slot, -1 if empty *)
-  mutable free : int; (* head of the free-slot chain, -1 if none *)
-  mutable size : int;
+  mutable value : 'a option array;
+  mutable free : int list; (* released ids, reused first *)
+  mutable fresh : int; (* ids below this have been handed out *)
   mutable total_weight : int;
-  (* Open-addressed key -> slot map (linear probing, backward-shift
-     deletion).  -1 marks an empty cell. *)
-  mutable h_slot : int array;
-  mutable mask : int; (* table size - 1; table size is a power of two *)
 }
 
 let initial_slots = 16
 
-(* A [len]-element free chain for slots [from .. from+len-1]: each links
-   to its successor, the last to nil. *)
-let free_chain ~len ~from =
-  Array.init len (fun i -> if i = len - 1 then -1 else from + i + 1)
-
 let create () =
-  let ts = 4 * initial_slots in
   {
+    ids = Hashtbl.create initial_slots;
+    order = Ccs.Lru.create ~capacity:initial_slots;
     key = Array.make initial_slots "";
-    value = Array.make initial_slots None;
     weight = Array.make initial_slots 0;
-    prev = Array.make initial_slots (-1);
-    next = free_chain ~len:initial_slots ~from:0;
-    head = -1;
-    tail = -1;
-    free = 0;
-    size = 0;
+    value = Array.make initial_slots None;
+    free = [];
+    fresh = 0;
     total_weight = 0;
-    h_slot = Array.make ts (-1);
-    mask = ts - 1;
   }
 
-let size t = t.size
+let size t = Hashtbl.length t.ids
 let total_weight t = t.total_weight
 
-let hash t k = Ccs.Binio.fnv1a64 k land t.mask
+let find t k = Option.bind (Hashtbl.find_opt t.ids k) (fun id -> t.value.(id))
 
-(* Table index of [k], or -1 if absent. *)
-let hfind t k =
-  let i = ref (hash t k) in
-  let r = ref (-2) in
-  while !r = -2 do
-    let s = Array.unsafe_get t.h_slot !i in
-    if s < 0 then r := -1
-    else if String.equal t.key.(s) k then r := !i
-    else i := (!i + 1) land t.mask
-  done;
-  !r
-
-let hadd t k slot =
-  let i = ref (hash t k) in
-  while t.h_slot.(!i) >= 0 do
-    i := (!i + 1) land t.mask
-  done;
-  t.h_slot.(!i) <- slot
-
-(* Remove table entry at index [i], shifting later probe-run entries
-   back so no tombstone is needed (same invariant as Lru.hdelete_at,
-   with the home recomputed from the slot's stored key). *)
-let hdelete_at t i =
-  let mask = t.mask in
-  let i = ref i in
-  let j = ref ((!i + 1) land mask) in
-  while t.h_slot.(!j) >= 0 do
-    let home = hash t t.key.(t.h_slot.(!j)) in
-    if (!j - home) land mask >= (!j - !i) land mask then begin
-      t.h_slot.(!i) <- t.h_slot.(!j);
-      i := !j
-    end;
-    j := (!j + 1) land mask
-  done;
-  t.h_slot.(!i) <- -1
-
-let unlink t s =
-  let p = t.prev.(s) and n = t.next.(s) in
-  if p >= 0 then t.next.(p) <- n else t.head <- n;
-  if n >= 0 then t.prev.(n) <- p else t.tail <- p
-
-let push_front t s =
-  t.prev.(s) <- -1;
-  t.next.(s) <- t.head;
-  if t.head >= 0 then t.prev.(t.head) <- s else t.tail <- s;
-  t.head <- s
-
-(* Double the slot arrays and rebuild the (now too dense) hash table.
-   Recency order and slot numbering are preserved — only capacity
-   changes, so growth is invisible to the eviction order. *)
-let grow t =
-  let n = Array.length t.key in
-  let n' = 2 * n in
-  let extend a fill = Array.append a (Array.make n fill) in
-  t.key <- extend t.key "";
-  t.value <- extend t.value None;
-  t.weight <- extend t.weight 0;
-  t.prev <- extend t.prev (-1);
-  t.next <- Array.append t.next (free_chain ~len:n ~from:n);
-  t.free <- n;
-  let ts = 4 * n' in
-  t.h_slot <- Array.make ts (-1);
-  t.mask <- ts - 1;
-  for s = 0 to n - 1 do
-    (* every slot below [n] is live: the free chain was empty *)
-    hadd t t.key.(s) s
-  done
-
-let take_free t =
-  if t.free < 0 then grow t;
-  let s = t.free in
-  t.free <- t.next.(s);
-  t.size <- t.size + 1;
-  s
-
-let find t k =
-  match hfind t k with -1 -> None | i -> t.value.(t.h_slot.(i))
+(* Make [id] most-recent, inserting it if new.  Every live id is below
+   the recency set's capacity, so this never evicts. *)
+let promote t id = ignore (Ccs.Lru.touch_hit t.order id)
 
 let touch t k =
-  match hfind t k with
-  | -1 -> None
-  | i ->
-      let s = t.h_slot.(i) in
-      if t.head <> s then begin
-        unlink t s;
-        push_front t s
+  Option.bind (Hashtbl.find_opt t.ids k) (fun id ->
+      promote t id;
+      t.value.(id))
+
+let take_id t =
+  match t.free with
+  | id :: rest ->
+      t.free <- rest;
+      id
+  | [] ->
+      let n = Array.length t.key in
+      if t.fresh = n then begin
+        let extend a fill = Array.append a (Array.make n fill) in
+        t.key <- extend t.key "";
+        t.weight <- extend t.weight 0;
+        t.value <- extend t.value None;
+        t.order <- Ccs.Lru.resize t.order ~capacity:(2 * n)
       end;
-      t.value.(s)
+      t.fresh <- t.fresh + 1;
+      t.fresh - 1
 
 let add t k ~weight v =
-  match hfind t k with
-  | -1 ->
-      let s = take_free t in
-      t.key.(s) <- k;
-      t.value.(s) <- Some v;
-      t.weight.(s) <- weight;
-      t.total_weight <- t.total_weight + weight;
-      push_front t s;
-      hadd t k s
-  | i ->
-      (* Re-adding an existing key updates its weight/value in place and
-         bumps it to most-recent — a re-stored record is a fresh one. *)
-      let s = t.h_slot.(i) in
-      t.total_weight <- t.total_weight - t.weight.(s) + weight;
-      t.weight.(s) <- weight;
-      t.value.(s) <- Some v;
-      if t.head <> s then begin
-        unlink t s;
-        push_front t s
-      end
+  let id =
+    match Hashtbl.find_opt t.ids k with
+    | Some id ->
+        (* Re-adding an existing key updates its weight/value in place
+           and bumps it to most-recent — a re-stored record is a fresh
+           one. *)
+        t.total_weight <- t.total_weight - t.weight.(id);
+        id
+    | None ->
+        let id = take_id t in
+        Hashtbl.replace t.ids k id;
+        t.key.(id) <- k;
+        id
+  in
+  t.weight.(id) <- weight;
+  t.value.(id) <- Some v;
+  t.total_weight <- t.total_weight + weight;
+  promote t id
 
-let release t s =
-  t.key.(s) <- "";
-  t.value.(s) <- None;
-  t.total_weight <- t.total_weight - t.weight.(s);
-  t.weight.(s) <- 0;
-  t.next.(s) <- t.free;
-  t.free <- s;
-  t.size <- t.size - 1
+let release t id =
+  Hashtbl.remove t.ids t.key.(id);
+  ignore (Ccs.Lru.remove t.order id);
+  t.total_weight <- t.total_weight - t.weight.(id);
+  t.value.(id) <- None;
+  t.free <- id :: t.free
 
 let remove t k =
-  match hfind t k with
-  | -1 -> false
-  | i ->
-      let s = t.h_slot.(i) in
-      hdelete_at t i;
-      unlink t s;
-      release t s;
-      true
+  let id = Hashtbl.find_opt t.ids k in
+  Option.iter (release t) id;
+  Option.is_some id
 
 let evict_lru t =
-  if t.tail < 0 then None
-  else begin
-    let s = t.tail in
-    let k = t.key.(s) and w = t.weight.(s) and v = t.value.(s) in
-    (match hfind t k with
-    | -1 -> assert false
-    | i -> hdelete_at t i);
-    unlink t s;
-    release t s;
-    match v with Some v -> Some (k, w, v) | None -> assert false
-  end
+  Option.map
+    (fun id ->
+      let entry = (t.key.(id), t.weight.(id), Option.get t.value.(id)) in
+      release t id;
+      entry)
+    (Ccs.Lru.least_recent t.order)
 
 let to_list_mru_first t =
-  let rec go acc s =
-    if s < 0 then List.rev acc else go (t.key.(s) :: acc) t.next.(s)
-  in
-  go [] t.head
+  List.map (fun id -> t.key.(id)) (Ccs.Lru.to_list_mru_first t.order)

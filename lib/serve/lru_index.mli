@@ -1,13 +1,12 @@
-(** Intrusive, weighted LRU index over string keys.
+(** Weighted LRU index over string keys.
 
-    The plan store's in-memory index and the per-worker hot cache: the
-    cache simulator's intrusive-array {!Ccs_cache.Lru} idiom (recency as
-    a doubly-linked list through int arrays, an open-addressed table
-    with backward-shift deletion), generalised to string keys carrying a
-    weight and a value, with slot arrays that grow by doubling.  The
-    cache-conscious scheduler's own plan store is itself a bounded
-    cache — eviction order here decides which [.ccsplan] records
-    survive.
+    The plan store's in-memory index and the per-worker hot cache.
+    Recency is kept by the cache simulator's own {!Ccs.Lru} over small
+    int ids, one per live key; this module adds the key -> id table and
+    each key's weight and value, and grows the recency set with
+    {!Ccs.Lru.resize} when it is full.  The cache-conscious scheduler's
+    own plan store is itself a bounded cache — eviction order here
+    decides which [.ccsplan] records survive.
 
     Not thread-safe; each daemon worker owns its instances. *)
 

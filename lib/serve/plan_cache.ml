@@ -6,14 +6,6 @@ let version = 1
 
 let path ~dir key = Filename.concat dir (Ccs.Plan_key.digest key ^ ".ccsplan")
 
-let rec ensure_dir dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then ensure_dir parent;
-    try Unix.mkdir dir 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 (* Schedule trees on the wire: 0 = Fire node, 1 = Seq length items...,
    2 = Repeat count body. *)
 let rec encode_schedule w = function
@@ -82,7 +74,7 @@ let decode_artifact ~path r : Protocol.artifact =
   }
 
 let store ~dir ~key artifact =
-  ensure_dir dir;
+  Binio.ensure_dir dir;
   let w = Binio.W.create () in
   Ccs.Plan_key.encode w key;
   encode_artifact w artifact;
@@ -137,7 +129,7 @@ module Bounded = struct
   let quarantined t = t.quarantined
 
   let quarantine t p reason =
-    ensure_dir (quarantine_dir t.dir);
+    Binio.ensure_dir (quarantine_dir t.dir);
     let dst = Filename.concat (quarantine_dir t.dir) (Filename.basename p) in
     (try Sys.rename p dst
      with Sys_error _ -> ( try Sys.remove p with Sys_error _ -> ()));
@@ -218,7 +210,7 @@ module Bounded = struct
             Binio.R.expect_end r)
 
   let create ?(log = Ccs.Log.null) ~dir ~bounds () =
-    ensure_dir dir;
+    Binio.ensure_dir dir;
     let t =
       {
         dir;

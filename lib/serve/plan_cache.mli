@@ -20,10 +20,6 @@ val version : int
 val path : dir:string -> Ccs.Plan_key.t -> string
 (** Where a key's record lives: [dir/<digest>.ccsplan]. *)
 
-val ensure_dir : string -> unit
-(** Create a directory if it does not exist (shared with the metrics
-    snapshot directory). *)
-
 val store : dir:string -> key:Ccs.Plan_key.t -> Protocol.artifact -> unit
 (** Persist an artifact under its key (creating [dir] if needed).
     @raise Sys_error on I/O failure. *)

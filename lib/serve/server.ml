@@ -259,7 +259,7 @@ let flight_dump t ~trigger =
           ("trigger", Ccs.Json.String trigger);
           ("path", Ccs.Json.String path);
         ]
-  | exception Sys_error reason ->
+  | exception (Sys_error reason | E.Error (E.Io { reason; _ })) ->
       Ccs.Log.error t.config.log "flight dump failed"
         [
           ("trigger", Ccs.Json.String trigger);
@@ -273,7 +273,7 @@ let publish_metrics t =
     Metrics.set t.m.store_bytes (Plan_cache.Bounded.bytes t.store);
     Metrics.set t.m.store_entries (Plan_cache.Bounded.entries t.store)
   end;
-  Plan_cache.ensure_dir (metrics_dir t);
+  Ccs.Binio.ensure_dir (metrics_dir t);
   Ccs.Binio.write_atomic ~path:(snapshot_path t)
     (Metrics.to_json_string t.m.registry ^ "\n");
   if t.config.tracing then
@@ -284,7 +284,7 @@ let publish_metrics t =
         (Ccs.Flight.dump t.flight ~dir:(trace_dir t.config) ~trigger:"live"
            ~pid:(Unix.getpid ())
            ~at_us:(Ccs.Clock.now_us ()))
-    with Sys_error _ -> ()
+    with Sys_error _ | E.Error (E.Io _) -> ()
 
 let metric_value t ?labels name = Metrics.value t.m.registry ?labels name
 
@@ -297,16 +297,16 @@ let scrape t =
       |> List.sort String.compare
     else []
   in
-  let docs =
-    List.filter_map
-      (fun f ->
-        let path = Filename.concat dir f in
-        match In_channel.with_open_text path In_channel.input_all with
-        | contents -> Result.to_option (Ccs.Json.of_string contents)
-        | exception Sys_error _ -> None)
-      files
-  in
-  Snapshot.to_prometheus (Snapshot.merge docs)
+  let merged = Metrics.create () in
+  List.iter
+    (fun f ->
+      let path = Filename.concat dir f in
+      match In_channel.with_open_text path In_channel.input_all with
+      | contents ->
+          Result.iter (Metrics.merge_json merged) (Ccs.Json.of_string contents)
+      | exception Sys_error _ -> ())
+    files;
+  Metrics.to_prometheus merged
 
 (* --- deadlines ------------------------------------------------------------- *)
 
@@ -1082,7 +1082,7 @@ let publish_parent config s ~quarantined_gauge =
   Metrics.set s.sm.store_bytes bytes;
   Metrics.set s.sm.store_entries entries;
   Metrics.set quarantined_gauge s.quarantined;
-  Plan_cache.ensure_dir (Filename.concat config.dir "metrics");
+  Ccs.Binio.ensure_dir (Filename.concat config.dir "metrics");
   Ccs.Binio.write_atomic ~path:(parent_snapshot_path config)
     (Metrics.to_json_string s.sm.registry ^ "\n")
 
@@ -1154,7 +1154,7 @@ let supervise config fd =
                  (Ccs.Flight.dump flight ~dir:(flight_dir config)
                     ~trigger:"breaker-quarantine" ~pid:(Unix.getpid ())
                     ~at_us:(Ccs.Clock.now_us ()))
-             with Sys_error _ -> ())
+             with Sys_error _ | E.Error (E.Io _) -> ())
           end
           else begin
             Metrics.inc s.sm.worker_restarts;
@@ -1203,7 +1203,7 @@ let supervise config fd =
 
 let run config =
   install_stop_handlers ();
-  Plan_cache.ensure_dir config.dir;
+  Ccs.Binio.ensure_dir config.dir;
   clear_stale_snapshots config;
   let fd = listen_fd config in
   Ccs.Log.info config.log "listening"
@@ -1245,7 +1245,15 @@ let connect address =
       Unix.connect fd (Unix.ADDR_INET (addr, port));
       fd
 
+(* A daemon that sheds the connection closes it at once, possibly before
+   the request is written; the write then fails with EPIPE.  SIGPIPE is
+   ignored for the round-trip, so that is a [Unix_error] the retry loop
+   handles like any transport error instead of a signal that kills the
+   client process.  The caller's disposition is restored afterwards. *)
 let request ?(timeout_ms = 0) address line =
+  let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe sigpipe)
+  @@ fun () ->
   let fd = connect address in
   if timeout_ms > 0 then begin
     (* socket-level timeouts: a stalled daemon surfaces as a transport
@@ -1254,15 +1262,12 @@ let request ?(timeout_ms = 0) address line =
     Unix.setsockopt_float fd Unix.SO_RCVTIMEO s;
     Unix.setsockopt_float fd Unix.SO_SNDTIMEO s
   end;
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      output_string oc line;
-      output_char oc '\n';
-      flush oc;
-      input_line ic)
+      let req = line ^ "\n" in
+      ignore (Unix.write_substring fd req 0 (String.length req));
+      input_line (Unix.in_channel_of_descr fd))
 
 (* Retrying client: jittered exponential backoff over transport errors,
    mid-stream EOF and structured [overloaded] responses (honouring their

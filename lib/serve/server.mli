@@ -10,7 +10,7 @@
     protocol ({!Protocol}), and a connection whose first line is an HTTP
     [GET]/[HEAD] instead gets a one-shot HTTP/1.0 answer —
     [GET /metrics] returns the Prometheus page merged across every
-    published snapshot ({!Snapshot}).
+    published snapshot ({!scrape}).
 
     Production hardening:
     - {b Deadlines} ([deadline_ms > 0]): each request has a time budget
@@ -101,8 +101,12 @@ val connect : address -> Unix.file_descr
 val request : ?timeout_ms:int -> address -> string -> string
 (** One round-trip: connect, send one request line, read one response
     line, close.  [timeout_ms > 0] arms socket send/receive timeouts so
-    a stalled daemon surfaces as an error instead of a hang.
-    @raise Unix.Unix_error if the daemon is unreachable. *)
+    a stalled daemon surfaces as an error instead of a hang.  [SIGPIPE]
+    is ignored for the round-trip, so a connection the daemon closed
+    before the request was written is an [EPIPE] error, not a signal that
+    kills the caller.
+    @raise Unix.Unix_error if the daemon is unreachable or closed the
+    connection. *)
 
 val request_retry :
   ?retries:int ->
@@ -133,7 +137,10 @@ val handle_line : t -> string -> string
     line (without the trailing newline). *)
 
 val scrape : t -> string
-(** The merged Prometheus page. *)
+(** The merged Prometheus page: every published {!Ccs.Metrics.to_json}
+    document under [dir/metrics], summed into a fresh registry with
+    {!Ccs.Metrics.merge_json} and rendered by
+    {!Ccs.Metrics.to_prometheus}. *)
 
 val metric_value : t -> ?labels:(string * string) list -> string -> int option
 (** Read one series from this process's own registry (counter value,

@@ -794,6 +794,20 @@ let fuzz_mutated_json =
 
 let ping = {|{"op":"ping"}|}
 
+(* OCaml's own (negative) signal number, with its name where known, so a
+   forked client's death says what killed it. *)
+let signal_name n =
+  let names =
+    [
+      (Sys.sigpipe, "SIGPIPE"); (Sys.sigkill, "SIGKILL");
+      (Sys.sigsegv, "SIGSEGV"); (Sys.sigabrt, "SIGABRT");
+      (Sys.sigterm, "SIGTERM"); (Sys.sigalrm, "SIGALRM");
+      (Sys.sigstop, "SIGSTOP");
+    ]
+  in
+  Printf.sprintf "signal %d (%s)" n
+    (Option.value ~default:"unnamed" (List.assoc_opt n names))
+
 let with_daemon config sock f =
   flush stdout;
   flush stderr;
@@ -911,7 +925,7 @@ let test_overload_shed () =
            exception escaped the retry loop *)
         let code =
           match
-            Srv.request_retry ~retries:8 ~backoff_ms:40 ~seed:1
+            Srv.request_retry ~retries:6 ~backoff_ms:40 ~seed:1
               config.Srv.address ping
           with
           | r -> if is_ok r then 0 else 1
@@ -928,7 +942,63 @@ let test_overload_shed () =
       Alcotest.failf "retrying client never got through (exit %d: %s)" n
         (if n = 1 then "non-ok response after retries"
          else "transport exception")
-  | _ -> Alcotest.fail "retrying client was signalled")
+  | _, Unix.WSIGNALED n ->
+      Alcotest.failf "retrying client was killed by %s" (signal_name n)
+  | _, Unix.WSTOPPED n ->
+      Alcotest.failf "retrying client was stopped by %s" (signal_name n))
+
+let test_client_survives_broken_pipe () =
+  (* A listener that accepts and closes without reading: a request far
+     larger than the socket buffer must fail with EPIPE.  The client has
+     to see that as a transport error and retry, not die of SIGPIPE. *)
+  let dir = tmp_dir () in
+  let sock = Filename.concat dir "closer.sock" in
+  let l = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind l (Unix.ADDR_UNIX sock);
+  Unix.listen l 8;
+  flush stdout;
+  flush stderr;
+  let client =
+    match Unix.fork () with
+    | 0 ->
+        Unix.close l;
+        let line = String.make (4 * 1024 * 1024) 'x' in
+        (* exit codes: 0 = EPIPE after every retry, 1 = a response,
+           2 = some other exception *)
+        let code =
+          match
+            Srv.request_retry ~retries:2 ~backoff_ms:1 (Srv.Unix_socket sock)
+              line
+          with
+          | _ -> 1
+          | exception Unix.Unix_error (Unix.EPIPE, _, _) -> 0
+          | exception _ -> 2
+        in
+        Unix._exit code
+    | pid -> pid
+  in
+  (* close every attempt on arrival; a client that died stops arriving *)
+  let rec serve attempts =
+    match Unix.select [ l ] [] [] 5.0 with
+    | [], _, _ -> attempts
+    | _ ->
+        let fd, _ = Unix.accept l in
+        Unix.close fd;
+        if attempts + 1 < 3 then serve (attempts + 1) else attempts + 1
+  in
+  let attempts = serve 0 in
+  Unix.close l;
+  (match Unix.waitpid [] client with
+  | _, Unix.WEXITED 0 -> ()
+  | _, Unix.WEXITED n ->
+      Alcotest.failf "client exit %d: %s" n
+        (if n = 1 then "got a response from a closed connection"
+         else "unexpected exception")
+  | _, Unix.WSIGNALED n ->
+      Alcotest.failf "client was killed by %s" (signal_name n)
+  | _, Unix.WSTOPPED n ->
+      Alcotest.failf "client was stopped by %s" (signal_name n));
+  Alcotest.(check int) "first attempt plus two retries" 3 attempts
 
 let test_breaker_quarantines_crash_loop () =
   let dir = tmp_dir () in
@@ -1252,7 +1322,7 @@ let test_tracing_bit_identical () =
     "stage series on the metrics page" true
     (has "ccs_serve_stage_us_count{stage=\"plan_build\"}" page)
 
-(* --- snapshot merge on histogram series ------------------------------------ *)
+(* --- merging published snapshots ------------------------------------------ *)
 
 let snapshot_doc build =
   let r = Ccs.Metrics.create () in
@@ -1261,11 +1331,10 @@ let snapshot_doc build =
   | Ok v -> v
   | Error e -> Alcotest.failf "snapshot doc does not parse: %s" e
 
-let find_series series name labels =
-  List.find_opt
-    (fun s ->
-      s.Ccs_serve.Snapshot.name = name && s.Ccs_serve.Snapshot.labels = labels)
-    series
+let merge_docs docs =
+  let merged = Ccs.Metrics.create () in
+  List.iter (Ccs.Metrics.merge_json merged) docs;
+  merged
 
 let test_snapshot_merge_histograms () =
   let doc pid observations =
@@ -1279,28 +1348,27 @@ let test_snapshot_merge_histograms () =
         in
         if pid = 1 then Ccs.Metrics.observe other 1)
   in
-  let merged = Ccs_serve.Snapshot.merge [ doc 1 [ 3; 100 ]; doc 2 [ 5 ] ] in
-  (match find_series merged "stage_us" [ ("stage", "parse") ] with
-  | None -> Alcotest.fail "merged parse series missing"
-  | Some s -> (
-      match s.Ccs_serve.Snapshot.data with
-      | Ccs_serve.Snapshot.Histo { count; sum; buckets } ->
-          Alcotest.(check int) "counts sum across workers" 3 count;
-          Alcotest.(check int) "sums sum across workers" 108 sum;
-          Alcotest.(check int)
-            "per-bucket counts sum" 3
-            (List.fold_left (fun a (_, c) -> a + c) 0 buckets)
-      | _ -> Alcotest.fail "parse series is not a histogram"));
+  let merged = merge_docs [ doc 1 [ 3; 100 ]; doc 2 [ 5 ] ] in
+  (* registration is idempotent, so these are handles on the merged cells *)
+  let parse =
+    Ccs.Metrics.histogram merged ~labels:[ ("stage", "parse") ] "stage_us"
+  in
+  Alcotest.(check int) "counts sum across workers" 3
+    (Ccs.Metrics.histogram_count parse);
+  Alcotest.(check int) "sums sum across workers" 108
+    (Ccs.Metrics.histogram_sum parse);
+  Alcotest.(check (list int))
+    "per-bucket counts sum across workers"
+    (List.init 63 (fun k ->
+         List.length
+           (List.filter (fun v -> Ccs.Metrics.bucket_of v = k) [ 3; 100; 5 ])))
+    (Ccs.Metrics.histogram_buckets parse);
   (* label-set disjointness: the write series keeps its own count *)
-  (match find_series merged "stage_us" [ ("stage", "write") ] with
-  | None -> Alcotest.fail "merged write series missing"
-  | Some s -> (
-      match s.Ccs_serve.Snapshot.data with
-      | Ccs_serve.Snapshot.Histo { count; _ } ->
-          Alcotest.(check int) "disjoint labels not conflated" 1 count
-      | _ -> Alcotest.fail "write series is not a histogram"));
+  Alcotest.(check (option int))
+    "disjoint labels not conflated" (Some 1)
+    (Ccs.Metrics.value merged ~labels:[ ("stage", "write") ] "stage_us");
   (* the rendered page has cumulative buckets ending in +Inf = count *)
-  let page = Ccs_serve.Snapshot.to_prometheus merged in
+  let page = Ccs.Metrics.to_prometheus merged in
   let lines = String.split_on_char '\n' page in
   let bucket_counts prefix =
     List.filter_map
@@ -1314,10 +1382,7 @@ let test_snapshot_merge_histograms () =
         else None)
       lines
   in
-  let cumulative =
-    bucket_counts "stage_us_bucket{le=\"" |> fun _ ->
-    bucket_counts "stage_us_bucket{stage=\"parse\""
-  in
+  let cumulative = bucket_counts "stage_us_bucket{stage=\"parse\"" in
   Alcotest.(check bool) "bucket series rendered" true (cumulative <> []);
   let rec monotone = function
     | a :: (b :: _ as rest) -> a <= b && monotone rest
@@ -1333,24 +1398,106 @@ let test_snapshot_merge_edge_cases () =
   (* zero snapshots: an empty page, not an error *)
   Alcotest.(check string)
     "empty merge renders an empty page" ""
-    (Ccs_serve.Snapshot.to_prometheus (Ccs_serve.Snapshot.merge []));
-  (* a histogram series merged with itself doubles; counters unaffected *)
+    (Ccs.Metrics.to_prometheus (merge_docs []));
+  (* a document merged with itself doubles its counters and histograms *)
   let d =
     snapshot_doc (fun r ->
         let h = Ccs.Metrics.histogram r "h_us" in
         Ccs.Metrics.observe h 9;
         Ccs.Metrics.inc (Ccs.Metrics.counter r "c_total"))
   in
-  let merged = Ccs_serve.Snapshot.merge [ d; d ] in
-  (match find_series merged "h_us" [] with
-  | Some { Ccs_serve.Snapshot.data = Ccs_serve.Snapshot.Histo { count; _ }; _ }
-    ->
-      Alcotest.(check int) "histogram doubled" 2 count
-  | _ -> Alcotest.fail "histogram series missing");
-  match find_series merged "c_total" [] with
-  | Some { Ccs_serve.Snapshot.data = Ccs_serve.Snapshot.Value v; _ } ->
-      Alcotest.(check int) "counter doubled" 2 v
-  | _ -> Alcotest.fail "counter series missing"
+  let merged = merge_docs [ d; d ] in
+  Alcotest.(check (option int))
+    "histogram doubled" (Some 2)
+    (Ccs.Metrics.value merged "h_us");
+  Alcotest.(check int) "histogram sum doubled" 18
+    (Ccs.Metrics.histogram_sum (Ccs.Metrics.histogram merged "h_us"));
+  Alcotest.(check (option int))
+    "counter doubled" (Some 2)
+    (Ccs.Metrics.value merged "c_total")
+
+let test_snapshot_merge_drops_bad_entries () =
+  (* Published documents are outside input: every defective entry is
+     dropped on its own, and the well-formed ones still merge. *)
+  let doc s =
+    match Json.of_string s with
+    | Ok v -> v
+    | Error e -> Alcotest.failf "fixture does not parse: %s" e
+  in
+  let merged =
+    merge_docs
+      [
+        doc
+          {|{"counters":[{"name":"ok_total","labels":{},"value":2},
+                         {"labels":{},"value":1},
+                         {"name":"bad name","labels":{},"value":1},
+                         {"name":"bad_label","labels":{"0x":"v"},"value":1},
+                         {"name":"no_value_total","labels":{}},
+                         {"name":"float_total","labels":{},"value":1.5},
+                         {"name":"clash","labels":{},"value":4}],
+             "gauges":[{"name":"clash","labels":{"w":"1"},"value":9}],
+             "histograms":[{"name":"h_us","labels":{},"count":1},
+                           {"name":"ok_total","labels":{},"count":1,"sum":1,
+                            "buckets":[]}]}|};
+        doc {|{"counters":[{"name":"ok_total","labels":{},"value":3}]}|};
+        doc {|[1, 2, 3]|};
+        doc {|{"counters":"not a list"}|};
+      ]
+  in
+  Alcotest.(check string)
+    "only the well-formed series survive"
+    "# TYPE ok_total counter\nok_total 5\n# TYPE clash counter\nclash 4\n"
+    (Ccs.Metrics.to_prometheus merged)
+
+(* Lay [docs] out as published snapshots of a fresh state directory and
+   scrape them the way any worker answers GET /metrics. *)
+let scrape_docs docs =
+  let dir = tmp_dir () in
+  let mdir = Filename.concat dir "metrics" in
+  Unix.mkdir mdir 0o755;
+  List.iter
+    (fun (name, contents) ->
+      Out_channel.with_open_bin (Filename.concat mdir name) (fun oc ->
+          output_string oc contents))
+    docs;
+  Srv.scrape
+    (Srv.make (Srv.default_config ~address:(Srv.Unix_socket "unused") ~dir))
+
+let test_scrape_golden_page () =
+  (* Published documents from a two-worker traced daemon (plus its
+     parent) and two hand-written edge-case documents.  The golden page
+     was rendered from them by an independent merge implementation; the
+     scrape must reproduce it byte for byte. *)
+  let read p = In_channel.with_open_bin p In_channel.input_all in
+  (* under `dune runtest` from test/, under `dune exec` from the root *)
+  let golden = if Sys.file_exists "golden" then "golden" else "test/golden" in
+  let docs =
+    Sys.readdir golden |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".json")
+    |> List.map (fun f -> (f, read (Filename.concat golden f)))
+  in
+  Alcotest.(check int) "fixture documents" 5 (List.length docs);
+  Alcotest.(check string)
+    "merged page matches the golden page"
+    (read (Filename.concat golden "metrics.prom"))
+    (scrape_docs docs)
+
+let test_help_escaping () =
+  (* The exposition format escapes only backslash and newline in HELP
+     text; a double quote stays as it is.  The merged page must agree
+     byte for byte with the registry it was published from. *)
+  let r = Ccs.Metrics.create () in
+  Ccs.Metrics.inc
+    (Ccs.Metrics.counter r ~help:"a \\ b \"quoted\"\nnext line" "esc_total");
+  let single = Ccs.Metrics.to_prometheus r in
+  Alcotest.(check string)
+    "HELP escapes backslash and newline only"
+    "# HELP esc_total a \\\\ b \"quoted\"\\nnext line\n\
+     # TYPE esc_total counter\nesc_total 1\n"
+    single;
+  Alcotest.(check string)
+    "merged page equals the single registry's page" single
+    (scrape_docs [ ("worker-1.json", Ccs.Metrics.to_json_string r) ])
 
 let test_deadline_flight_dump () =
   (* An induced deadline-exceeded must leave a decodable black box on
@@ -1481,6 +1628,8 @@ let () =
             test_breaker_quarantines_crash_loop;
           Alcotest.test_case "live flood of junk lines" `Slow
             test_live_fuzz_flood;
+          Alcotest.test_case "client survives a broken pipe" `Quick
+            test_client_survives_broken_pipe;
         ] );
       ( "observability",
         [
@@ -1497,6 +1646,12 @@ let () =
             test_snapshot_merge_histograms;
           Alcotest.test_case "snapshot merge edge cases" `Quick
             test_snapshot_merge_edge_cases;
+          Alcotest.test_case "snapshot merge drops bad entries" `Quick
+            test_snapshot_merge_drops_bad_entries;
+          Alcotest.test_case "scrape matches the golden page" `Quick
+            test_scrape_golden_page;
+          Alcotest.test_case "HELP escaping, single vs merged" `Quick
+            test_help_escaping;
           Alcotest.test_case "deadline leaves a flight dump" `Slow
             test_deadline_flight_dump;
         ] );

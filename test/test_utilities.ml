@@ -245,6 +245,42 @@ let test_write_atomic_concurrent_writers () =
     "no temp files left behind" [ "contended.txt" ]
     (Array.to_list (Sys.readdir dir))
 
+(* --- Binio.ensure_dir ------------------------------------------------------- *)
+
+let test_ensure_dir () =
+  let root = Filename.temp_file "ccs-ed" "" in
+  Sys.remove root;
+  let nested = Filename.concat (Filename.concat root "a") "b" in
+  Ccs.Binio.ensure_dir nested;
+  Alcotest.(check bool) "parents created" true (Sys.is_directory nested);
+  Ccs.Binio.ensure_dir nested;
+  (* sibling workers racing to create the same fresh tree all succeed *)
+  let contested = Filename.concat (Filename.concat root "c") "d" in
+  flush stdout;
+  flush stderr;
+  let spawn _ =
+    match Unix.fork () with
+    | 0 -> (
+        match Ccs.Binio.ensure_dir contested with
+        | () -> Unix._exit 0
+        | exception _ -> Unix._exit 1)
+    | pid -> pid
+  in
+  List.iter
+    (fun pid ->
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.fail "a racing ensure_dir failed")
+    (List.init 4 spawn);
+  Alcotest.(check bool) "raced tree exists" true (Sys.is_directory contested);
+  (* a regular file in the way is a structured Io error naming it *)
+  let file = Filename.concat root "file" in
+  Out_channel.with_open_text file (fun oc -> output_string oc "x");
+  match Ccs.Binio.ensure_dir file with
+  | () -> Alcotest.fail "a regular file was accepted as a directory"
+  | exception Ccs.Error.Error (Ccs.Error.Io { path; _ }) ->
+      Alcotest.(check string) "Io error names the path" file path
+
 let () =
   Alcotest.run "utilities"
     [
@@ -286,4 +322,7 @@ let () =
           Alcotest.test_case "concurrent writers" `Quick
             test_write_atomic_concurrent_writers;
         ] );
+      ( "ensure-dir",
+        [ Alcotest.test_case "parents, races, files" `Quick test_ensure_dir ]
+      );
     ]
