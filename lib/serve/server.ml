@@ -59,6 +59,8 @@ type metrics = {
   cache_evictions : Metrics.counter;
   worker_restarts : Metrics.counter;
   flight_dumps : Metrics.counter;
+  flight_dumps_suppressed : Metrics.counter;
+  key_memo_hits : Metrics.counter;
   inflight : Metrics.gauge;
   store_bytes : Metrics.gauge;
   store_entries : Metrics.gauge;
@@ -113,6 +115,14 @@ let make_metrics () =
     flight_dumps =
       c "ccs_serve_flight_dumps_total"
         "Flight-recorder dumps written on anomaly triggers.";
+    flight_dumps_suppressed =
+      c "ccs_serve_flight_dumps_suppressed_total"
+        "Flight-recorder dumps skipped because the same trigger had already \
+         dumped within the rate-limit window.";
+    key_memo_hits =
+      c "ccs_serve_key_memo_hits_total"
+        "Plan requests whose parse, check and key digest were answered by \
+         the per-worker request memo.";
     inflight =
       g "ccs_serve_inflight" "Connections currently being served.";
     store_bytes =
@@ -143,16 +153,38 @@ let make_metrics () =
    client-supplied id the moment the parse stage sees one. *)
 type trace = { mutable trace_id : string; root : int; t_start : int }
 
+(* What the key stage derives from a valid plan request: everything the
+   rest of the request path needs from it except the graph itself. *)
+type keyed = {
+  cache : Ccs.Cache.config;
+  key : Ccs.Plan_key.t;
+  digest : string; (* [Plan_key.digest key], computed once *)
+}
+
+(* The request memo's byte budget: about 1500 suite-size requests, so a
+   worker's memo outlasts its 64-entry hot cache and plan-store hits skip
+   the key stage too. *)
+let key_memo_bytes = 4 * 1024 * 1024
+
+(* At most one flight dump per trigger per window: under a shed storm the
+   black box is written once, not once per refused connection. *)
+let flight_dump_window_us = 10_000_000
+
 type t = {
   config : config;
   m : metrics;
   store : Plan_cache.Bounded.t;
   hot : Protocol.artifact Lru_index.t;
+  memo : keyed Lru_index.t;
+      (* request identity -> key stage result, weighed in identity bytes
+         and bounded by [key_memo_bytes] *)
   flight : Ccs.Flight.t;
       (* always-on black box: span ring + recent log lines, dumped on
          anomaly triggers *)
   mutable req_index : int;
       (* per-worker request counter: the epoch axis of serve-layer chaos *)
+  mutable dumped_at : (string * int) list;
+      (* trigger -> Clock us of its last flight dump, for the rate limit *)
   mutable evictions_seen : int;
   mutable report_store : bool;
       (* exactly one process per daemon publishes the store gauges, so the
@@ -184,18 +216,26 @@ let make config =
         }
       ()
   in
-  {
-    config;
-    m = make_metrics ();
-    store;
-    hot = Lru_index.create ();
-    flight;
-    req_index = 0;
-    evictions_seen = 0;
-    report_store = true;
-    die_after_flush = false;
-    last_trace = None;
-  }
+  let t =
+    {
+      config;
+      m = make_metrics ();
+      store;
+      hot = Lru_index.create ();
+      memo = Lru_index.create ();
+      flight;
+      req_index = 0;
+      dumped_at = [];
+      evictions_seen = 0;
+      report_store = true;
+      die_after_flush = false;
+      last_trace = None;
+    }
+  in
+  (* Created once here, not on every publish: [publish_metrics] only
+     recreates it if it disappears under a running worker. *)
+  Ccs.Binio.ensure_dir (metrics_dir t);
+  t
 
 let snapshot_path t =
   Filename.concat (metrics_dir t)
@@ -244,27 +284,34 @@ let fresh_trace t ~t_start =
     t_start;
   }
 
-(* Dump the black box.  Best-effort by design: a full disk must not turn
-   an anomaly report into a crash, so failures are logged and dropped. *)
+(* Dump the black box, at most once per trigger per
+   [flight_dump_window_us]; a dump inside the window is only counted.
+   Best-effort by design: a full disk must not turn an anomaly report
+   into a crash, so failures are logged and dropped. *)
 let flight_dump t ~trigger =
-  Metrics.inc t.m.flight_dumps;
-  match
-    Ccs.Flight.dump t.flight ~dir:(flight_dir t.config) ~trigger
-      ~pid:(Unix.getpid ())
-      ~at_us:(Ccs.Clock.now_us ())
-  with
-  | path ->
-      Ccs.Log.warn t.config.log "flight recorder dumped"
-        [
-          ("trigger", Ccs.Json.String trigger);
-          ("path", Ccs.Json.String path);
-        ]
-  | exception (Sys_error reason | E.Error (E.Io { reason; _ })) ->
-      Ccs.Log.error t.config.log "flight dump failed"
-        [
-          ("trigger", Ccs.Json.String trigger);
-          ("reason", Ccs.Json.String reason);
-        ]
+  let now = Ccs.Clock.now_us () in
+  match List.assoc_opt trigger t.dumped_at with
+  | Some at when now - at < flight_dump_window_us ->
+      Metrics.inc t.m.flight_dumps_suppressed
+  | _ -> (
+      t.dumped_at <- (trigger, now) :: List.remove_assoc trigger t.dumped_at;
+      Metrics.inc t.m.flight_dumps;
+      match
+        Ccs.Flight.dump t.flight ~dir:(flight_dir t.config) ~trigger
+          ~pid:(Unix.getpid ()) ~at_us:now
+      with
+      | path ->
+          Ccs.Log.warn t.config.log "flight recorder dumped"
+            [
+              ("trigger", Ccs.Json.String trigger);
+              ("path", Ccs.Json.String path);
+            ]
+      | exception (Sys_error reason | E.Error (E.Io { reason; _ })) ->
+          Ccs.Log.error t.config.log "flight dump failed"
+            [
+              ("trigger", Ccs.Json.String trigger);
+              ("reason", Ccs.Json.String reason);
+            ])
 
 (* Publish this worker's registry for /metrics scrapes (from any worker).
    Atomic rename, so a concurrent scrape never reads a torn document. *)
@@ -273,9 +320,16 @@ let publish_metrics t =
     Metrics.set t.m.store_bytes (Plan_cache.Bounded.bytes t.store);
     Metrics.set t.m.store_entries (Plan_cache.Bounded.entries t.store)
   end;
-  Ccs.Binio.ensure_dir (metrics_dir t);
-  Ccs.Binio.write_atomic ~path:(snapshot_path t)
-    (Metrics.to_json_string t.m.registry ^ "\n");
+  let write () =
+    Ccs.Binio.write_atomic ~path:(snapshot_path t)
+      (Metrics.to_json_string t.m.registry ^ "\n")
+  in
+  (* [make] created the directory; only if it has since been removed is
+     it created again, and the write retried once. *)
+  (try write ()
+   with Sys_error _ ->
+     Ccs.Binio.ensure_dir (metrics_dir t);
+     write ());
   if t.config.tracing then
     (* Live trace export: the span ring as of the last answered request,
        readable by `ccsched trace` without waiting for an anomaly. *)
@@ -287,6 +341,8 @@ let publish_metrics t =
     with Sys_error _ | E.Error (E.Io _) -> ()
 
 let metric_value t ?labels name = Metrics.value t.m.registry ?labels name
+
+let key_memo_usage t = (Lru_index.size t.memo, Lru_index.total_weight t.memo)
 
 let scrape t =
   let dir = metrics_dir t in
@@ -392,14 +448,6 @@ let build_artifact t (req : Protocol.plan_request) g cache : Protocol.artifact =
     match req.capacities with
     | None -> choice.plan
     | Some capacities -> (
-        if Array.length capacities <> Ccs.Graph.num_edges g then
-          E.fail
-            (E.Request_invalid
-               {
-                 reason =
-                   Printf.sprintf "%d capacities for %d channels"
-                     (Array.length capacities) (Ccs.Graph.num_edges g);
-               });
         let period =
           match choice.plan.period with Some p -> p | None -> assert false
         in
@@ -436,6 +484,87 @@ let build_artifact t (req : Protocol.plan_request) g cache : Protocol.artifact =
   Metrics.observe t.m.plan_us (Ccs.Clock.elapsed_us ~since:t0);
   artifact
 
+(* --- the key stage and its memo -------------------------------------------- *)
+
+(* A plan request's identity: every field the key stage reads — the
+   cache geometry, the pinned capacities and, last and verbatim, the
+   graph text.  The header is one line of integers, so two identities are
+   equal exactly when the requests carry the same fields and the same
+   graph bytes; [trace_id] and [dry_run] are not part of the question. *)
+let identity (req : Protocol.plan_request) =
+  let b = Buffer.create (String.length req.graph_text + 64) in
+  Printf.bprintf b "%d %d %s " req.cache_words req.block_words
+    (match req.ways with None -> "-" | Some w -> string_of_int w);
+  (match req.capacities with
+  | None -> Buffer.add_char b '-'
+  | Some caps ->
+      Array.iteri
+        (fun i c ->
+          if i > 0 then Buffer.add_char b ',';
+          Buffer.add_string b (string_of_int c))
+        caps);
+  Buffer.add_char b '\n';
+  Buffer.add_string b req.graph_text;
+  Buffer.contents b
+
+let parse_graph (req : Protocol.plan_request) =
+  match Ccs.Serial.parse req.graph_text with Ok g -> g | Error e -> E.fail e
+
+(* The key stage computed in full.  Every check a request can fail before
+   planning runs here, so a request that returns is valid and its key
+   may be memoized. *)
+let derive_key (req : Protocol.plan_request) =
+  fail_report
+    (Ccs.Check.cache_config ?ways:req.ways ~size_words:req.cache_words
+       ~block_words:req.block_words ());
+  let cache =
+    Ccs.Cache.config
+      ~policy:(policy_of_ways req.ways)
+      ~size_words:req.cache_words ~block_words:req.block_words ()
+  in
+  let g = parse_graph req in
+  fail_report (Ccs.Check.graph g);
+  (match req.capacities with
+  | Some caps when Array.length caps <> Ccs.Graph.num_edges g ->
+      E.fail
+        (E.Request_invalid
+           {
+             reason =
+               Printf.sprintf "%d capacities for %d channels"
+                 (Array.length caps) (Ccs.Graph.num_edges g);
+           })
+  | _ -> ());
+  let key =
+    Ccs.Plan_key.of_graph g ~cache
+      ~capacities:(Option.value req.capacities ~default:[||])
+      ~planner_version:Ccs.Auto.planner_version
+  in
+  ({ cache; key; digest = Ccs.Plan_key.digest key }, g)
+
+let memo_put t id k =
+  let weight = String.length id in
+  if weight <= key_memo_bytes then begin
+    Lru_index.add t.memo id ~weight k;
+    while Lru_index.total_weight t.memo > key_memo_bytes do
+      ignore (Lru_index.evict_lru t.memo)
+    done
+  end
+
+(* The key stage through the memo.  A repeat of a request that passed
+   the stage before skips parse, check and digest; the graph is then
+   parsed only if a plan build or a dry run asks for it.  Identical text
+   parses to an identical graph, so the lazy parse cannot fail. *)
+let keyed_request t (req : Protocol.plan_request) =
+  let id = identity req in
+  match Lru_index.touch t.memo id with
+  | Some k ->
+      Metrics.inc t.m.key_memo_hits;
+      (k, lazy (parse_graph req))
+  | None ->
+      let k, g = derive_key req in
+      memo_put t id k;
+      (k, Lazy.from_val g)
+
 (* --- the hot cache and the bounded store ----------------------------------- *)
 
 let hot_put t digest artifact =
@@ -449,16 +578,15 @@ let hot_put t digest artifact =
 (* Hot cache in front of the disk store: a hot hit answers without
    touching the filesystem at all, and is bit-identical to a disk hit
    because both serve the very same artifact value. *)
-let lookup_artifact t ~key =
-  let digest = Ccs.Plan_key.digest key in
+let lookup_artifact t k =
   match
-    if t.config.hot_cache > 0 then Lru_index.touch t.hot digest else None
+    if t.config.hot_cache > 0 then Lru_index.touch t.hot k.digest else None
   with
   | Some a -> Some a
   | None -> (
-      match Plan_cache.Bounded.lookup t.store ~key with
+      match Plan_cache.Bounded.lookup t.store ~key:k.key with
       | Some a ->
-          hot_put t digest a;
+          hot_put t k.digest a;
           Some a
       | None -> None)
 
@@ -479,11 +607,11 @@ let truncate_record t key =
    (the response is still served — durability is best-effort), and a
    [truncate@E] tears the record just written so the next reader must
    quarantine and rebuild it. *)
-let store_artifact t ~key artifact =
+let store_artifact t ~key ~digest artifact =
   let epoch = t.req_index in
   if (Fault.conditions_at t.config.chaos epoch).Fault.io_faulty then
     Ccs.Log.warn t.config.log "chaos: plan-store write suppressed"
-      [ ("key", Ccs.Json.String (Ccs.Plan_key.digest key)) ]
+      [ ("key", Ccs.Json.String digest) ]
   else begin
     Plan_cache.Bounded.store t.store ~key artifact;
     if List.mem Fault.Record_truncate (Fault.events_at t.config.chaos epoch)
@@ -496,52 +624,32 @@ let store_artifact t ~key artifact =
   end
 
 let handle_plan t ~t0 ~deadline_at ~tr (req : Protocol.plan_request) =
-  let cache, g, key =
-    span t tr "key" (fun () ->
-        fail_report
-          (Ccs.Check.cache_config ?ways:req.ways ~size_words:req.cache_words
-             ~block_words:req.block_words ());
-        let cache =
-          Ccs.Cache.config
-            ~policy:(policy_of_ways req.ways)
-            ~size_words:req.cache_words ~block_words:req.block_words ()
-        in
-        let g =
-          match Ccs.Serial.parse req.graph_text with
-          | Ok g -> g
-          | Error e -> E.fail e
-        in
-        fail_report (Ccs.Check.graph g);
-        let key =
-          Ccs.Plan_key.of_graph g ~cache
-            ~capacities:(Option.value req.capacities ~default:[||])
-            ~planner_version:Ccs.Auto.planner_version
-        in
-        (cache, g, key))
-  in
+  let k, g = span t tr "key" (fun () -> keyed_request t req) in
   let cached, artifact =
-    match span t tr "cache_lookup" (fun () -> lookup_artifact t ~key) with
+    match span t tr "cache_lookup" (fun () -> lookup_artifact t k) with
     | Some artifact -> (true, artifact)
     | None ->
         let artifact =
           span t tr "plan_build" (fun () ->
               with_deadline t ~deadline_at (fun () ->
-                  build_artifact t req g cache))
+                  build_artifact t req (Lazy.force g) k.cache))
         in
         (* Store before responding: once a client has seen an answer, a
            repeat of the same request is guaranteed to hit. *)
-        store_artifact t ~key artifact;
-        hot_put t (Ccs.Plan_key.digest key) artifact;
+        store_artifact t ~key:k.key ~digest:k.digest artifact;
+        hot_put t k.digest artifact;
         (false, artifact)
   in
   Metrics.inc (if cached then t.m.hits else t.m.misses);
   let dry_run =
     if req.dry_run then
-      Some (span t tr "dry_run" (fun () -> dry_run_of g cache artifact))
+      Some
+        (span t tr "dry_run" (fun () ->
+             dry_run_of (Lazy.force g) k.cache artifact))
     else None
   in
-  Protocol.plan_response ?trace_id:req.trace_id ~cached
-    ~key:(Ccs.Plan_key.digest key) ~artifact ~dry_run
+  Protocol.plan_response ?trace_id:req.trace_id ~cached ~key:k.digest
+    ~artifact ~dry_run
     ~elapsed_us:(Ccs.Clock.elapsed_us ~since:t0)
     ()
 

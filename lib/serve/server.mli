@@ -24,8 +24,24 @@
     - {b Bounded store}: the plan cache ([dir/plans]) is a
       {!Plan_cache.Bounded} store — LRU eviction under
       [store_max_bytes]/[store_max_entries], mtime as crash-safe
-      recency, corrupt records quarantined.  A per-worker in-memory hot
-      cache ([hot_cache] entries) sits in front of it.
+      recency, corrupt records quarantined.  It holds every answered
+      artifact, shared by all workers and surviving restarts.  A
+      per-worker in-memory hot cache ([hot_cache] entries) sits in front
+      of it and holds the most recent artifacts decoded, so a hot hit
+      touches no file.
+    - {b Request memo}: a per-worker map from a plan request's
+      identity to its key stage result (cache geometry, {!Ccs.Plan_key}
+      and digest), in front of both caches.  The identity is the exact
+      graph text plus [cache_words], [block_words], [ways] and
+      [capacities] — not [trace_id] or [dry_run] — compared by string
+      equality.  An entry is added only once the request has passed the
+      cache-config check, the graph parse and check, the capacity count
+      and the key digest, so an invalid request is never memoized and
+      gets its structured error on every repeat.  A repeat then skips
+      parse, check and digest; the graph is parsed again only for a
+      plan build or a dry run.  The memo holds keys, never answers: a
+      memo hit whose plan record is gone rebuilds it.  It is bounded
+      by {!key_memo_bytes} of identity bytes, evicted LRU.
     - {b Circuit breaker}: the parent respawns dead workers with
       exponential backoff and, after [breaker_limit] consecutive deaths
       under [min_uptime_ms], retires the crash-looping slot instead of
@@ -44,7 +60,10 @@
       ring are dumped to [dir/flight/worker-<pid>-<trigger>.ccsflight]
       (Binio-framed, checksummed, atomic) on anomaly triggers —
       deadline-exceeded, shed, the containment catch-all, a breaker
-      quarantine, and SIGTERM.  Read dumps back with {!Ccs.Flight.load}
+      quarantine, and SIGTERM.  A worker writes at most one dump per
+      trigger per 10 s window and counts the skipped ones in
+      [ccs_serve_flight_dumps_suppressed_total], so overload does not
+      turn into disk writes.  Read dumps back with {!Ccs.Flight.load}
       or [ccsched trace].
 
     All durable state lives under [config.dir]: the plan cache in
@@ -94,6 +113,11 @@ val pp_address : address -> string
 val run : config -> unit
 (** Serve until [SIGTERM]/[SIGINT]; returns after cleanup. *)
 
+val key_memo_bytes : int
+(** Byte budget of each worker's request memo (4 MiB): the sum of the
+    memoized identities' lengths, about 1500 suite-size requests.  An
+    identity longer than the budget is not memoized. *)
+
 (** {2 Client side} — used by [ccsched submit] and the tests. *)
 
 val connect : address -> Unix.file_descr
@@ -129,8 +153,8 @@ type t
 
 val make : config -> t
 (** A daemon state without any socket — drive it with {!handle_line}.
-    Opens the bounded plan store (sweeping and quarantining, so this
-    touches [config.dir]). *)
+    Opens the bounded plan store (sweeping and quarantining) and creates
+    [dir/metrics], so this touches [config.dir]. *)
 
 val handle_line : t -> string -> string
 (** Handle one request line (the daemon's core), returning the response
@@ -141,6 +165,9 @@ val scrape : t -> string
     document under [dir/metrics], summed into a fresh registry with
     {!Ccs.Metrics.merge_json} and rendered by
     {!Ccs.Metrics.to_prometheus}. *)
+
+val key_memo_usage : t -> int * int
+(** Entries and identity bytes held by this daemon's request memo. *)
 
 val metric_value : t -> ?labels:(string * string) list -> string -> int option
 (** Read one series from this process's own registry (counter value,

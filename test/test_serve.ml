@@ -18,8 +18,8 @@ let tmp_dir () =
   Unix.mkdir path 0o755;
   path
 
-let plan_line ?(m = 2048) ?(b = 16) ?ways ?capacities ?(dry_run = false) graph
-    =
+let plan_line ?(m = 2048) ?(b = 16) ?ways ?capacities ?(dry_run = false)
+    ?trace_id graph =
   let fields =
     [
       ("op", Json.String "plan");
@@ -32,7 +32,11 @@ let plan_line ?(m = 2048) ?(b = 16) ?ways ?capacities ?(dry_run = false) graph
       | None -> []
       | Some caps ->
           [ ("capacities", Json.List (List.map (fun c -> Json.Int c) caps)) ])
-    @ if dry_run then [ ("dry_run", Json.Bool true) ] else []
+    @ (if dry_run then [ ("dry_run", Json.Bool true) ] else [])
+    @
+    match trace_id with
+    | None -> []
+    | Some id -> [ ("trace_id", Json.String id) ]
   in
   Json.to_string (Json.Obj fields)
 
@@ -59,23 +63,26 @@ let is_ok line =
   | Ok v -> Json.member "ok" v = Some (Json.Bool true)
   | Error _ -> false
 
-(* Everything except the hit/miss flag and the latency must be
-   byte-identical between a cold build and a cache hit. *)
-let normalize line =
+(* A response without the named top-level members. *)
+let without names line =
   match Json.of_string line with
   | Ok (Json.Obj fields) ->
       Json.to_string
-        (Json.Obj
-           (List.filter
-              (fun (k, _) ->
-                k <> "cached" && k <> "elapsed_us" && k <> "trace_id")
-              fields))
+        (Json.Obj (List.filter (fun (k, _) -> not (List.mem k names)) fields))
   | Ok _ | Error _ -> Alcotest.failf "unparseable response %s" line
 
-let make_daemon () =
-  Srv.make
+(* Everything except the hit/miss flag and the latency must be
+   byte-identical between a cold build and a cache hit. *)
+let normalize = without [ "cached"; "elapsed_us"; "trace_id" ]
+
+(* A socketless daemon configuration over a fresh state directory;
+   [f] overrides fields. *)
+let daemon_config ?(f = Fun.id) () =
+  f
     (Srv.default_config ~address:(Srv.Unix_socket "/nonexistent")
        ~dir:(tmp_dir ()))
+
+let make_daemon () = Srv.make (daemon_config ())
 
 (* --- protocol -------------------------------------------------------------- *)
 
@@ -366,6 +373,260 @@ let test_metrics_accounting () =
     (metric page "ccs_serve_request_us_count");
   Alcotest.(check int) "plan latency count" 1
     (metric page "ccs_serve_plan_us_count")
+
+let test_metrics_dir_recreated () =
+  (* The worker creates DIR/metrics once; a directory removed under it
+     is created again by the next publish, and the snapshot survives. *)
+  let config = daemon_config () in
+  let t = Srv.make config in
+  let mdir = Filename.concat config.Srv.dir "metrics" in
+  Alcotest.(check bool) "created by make" true (Sys.is_directory mdir);
+  ignore (Srv.handle_line t {|{"op":"ping"}|});
+  Array.iter (fun f -> Sys.remove (Filename.concat mdir f)) (Sys.readdir mdir);
+  Unix.rmdir mdir;
+  ignore (Srv.handle_line t {|{"op":"ping"}|});
+  Alcotest.(check int)
+    "snapshot republished" 2
+    (metric (Srv.scrape t) "ccs_serve_requests_total")
+
+(* --- the request memo ------------------------------------------------------ *)
+
+(* Every memo case compares a daemon that has memo entries with a fresh
+   daemon that has none.  A fresh daemon made from the same config shares
+   the state directory, so it sees the same plan store and differs only
+   in its empty memo and hot cache. *)
+
+let memo_hits t =
+  Option.value ~default:(-1)
+    (Srv.metric_value t "ccs_serve_key_memo_hits_total")
+
+(* The latency is the only member two correct answers may differ in. *)
+let volatile_free = without [ "elapsed_us" ]
+
+let response_key line =
+  match Json.of_string line with
+  | Ok v -> (
+      match Json.member "key" v with
+      | Some (Json.String k) -> k
+      | _ -> Alcotest.failf "no key in %s" line)
+  | Error _ -> Alcotest.failf "unparseable response %s" line
+
+let test_memo_repeat () =
+  let config = daemon_config () in
+  let t = Srv.make config in
+  let line = plan_line (app_graph "fm-radio") in
+  let first = Srv.handle_line t line in
+  Alcotest.(check int) "a first request only fills the memo" 0 (memo_hits t);
+  let again = Srv.handle_line t line in
+  Alcotest.(check int) "its repeat is a memo hit" 1 (memo_hits t);
+  Alcotest.(check bool) "cached" true (is_cached again);
+  Alcotest.(check string)
+    "same answer as a fresh daemon"
+    (volatile_free (Srv.handle_line (Srv.make config) line))
+    (volatile_free again);
+  Alcotest.(check string) "same plan as the cold build" (normalize first)
+    (normalize again)
+
+let test_memo_ignores_trace_and_dry_run () =
+  let config = daemon_config () in
+  let t = Srv.make config in
+  let graph = app_graph "fm-radio" in
+  ignore (Srv.handle_line t (plan_line graph));
+  List.iteri
+    (fun i (name, line) ->
+      let r = Srv.handle_line t line in
+      Alcotest.(check int) (name ^ " is a memo hit") (i + 1) (memo_hits t);
+      Alcotest.(check string)
+        (name ^ ": same answer as a fresh daemon")
+        (volatile_free (Srv.handle_line (Srv.make config) line))
+        (volatile_free r))
+    [
+      ("another trace id", plan_line ~trace_id:"memo-1" graph);
+      ("a dry run", plan_line ~dry_run:true graph);
+      ("a traced dry run", plan_line ~dry_run:true ~trace_id:"memo-2" graph);
+    ];
+  (* the fresh daemons above answered from the store without a memo; the
+     dry-run checksum must also match a cold build of its own *)
+  let cold = Srv.handle_line (make_daemon ()) (plan_line ~dry_run:true graph) in
+  let dry line =
+    Option.bind (Result.to_option (Json.of_string line)) (Json.member "dry_run")
+  in
+  let r = Srv.handle_line t (plan_line ~dry_run:true graph) in
+  Alcotest.(check bool) "dry-run member present" true (dry r <> None);
+  Alcotest.(check bool) "dry-run checksum unchanged" true (dry r = dry cold)
+
+let test_memo_separates_fields () =
+  let config = daemon_config () in
+  let t = Srv.make config in
+  let graph =
+    Ccs.Serial.to_text (Ccs.Generators.uniform_pipeline ~n:4 ~state:8 ())
+  in
+  let base = plan_line ~m:256 graph in
+  let base_key = response_key (Srv.handle_line t base) in
+  let variants =
+    [
+      ("cache_words", plan_line ~m:512 graph);
+      ("ways", plan_line ~m:256 ~ways:8 graph);
+      ("block_words", plan_line ~m:256 ~b:32 graph);
+      ("capacities", plan_line ~m:256 ~capacities:[ 8; 8; 8 ] graph);
+    ]
+  in
+  let keys =
+    List.map
+      (fun (name, line) ->
+        let r = Srv.handle_line t line in
+        Alcotest.(check int) (name ^ ": memo miss") 0 (memo_hits t);
+        Alcotest.(check bool) (name ^ ": ok") true (is_ok r);
+        Alcotest.(check bool)
+          (name ^ ": different key") true
+          (response_key r <> base_key);
+        Alcotest.(check string)
+          (name ^ ": same plan as a fresh daemon")
+          (normalize (Srv.handle_line (Srv.make config) line))
+          (normalize r);
+        response_key r)
+      variants
+  in
+  Alcotest.(check int)
+    "every variant has its own key" (List.length variants)
+    (List.length (List.sort_uniq String.compare keys));
+  Alcotest.(check int)
+    "five identities memoized" 5
+    (fst (Srv.key_memo_usage t))
+
+let test_memo_never_holds_errors () =
+  let config = daemon_config () in
+  let t = Srv.make config in
+  let cases =
+    [
+      ("invalid graph text", Some "parse",
+        plan_line "module a 1 1\nthis is not a graph\n");
+      ("graph failing its check", None,
+        plan_line
+          "graph loop\nmodule a 1\nmodule b 1\nchannel a b 1 1\n\
+           channel b a 1 1\n");
+      ("bad cache config", Some "cache-config-invalid",
+        plan_line ~m:0 (app_graph "fm-radio"));
+      ("wrong capacity count", Some "request-invalid",
+        plan_line ~capacities:[ 1 ] (app_graph "fm-radio"));
+    ]
+  in
+  List.iter
+    (fun (name, code, line) ->
+      let want = Srv.handle_line (Srv.make config) line in
+      (match (code, error_code want) with
+      | Some c, got ->
+          Alcotest.(check (option string)) (name ^ ": code") (Some c) got
+      | None, Some _ -> ()
+      | None, None -> Alcotest.failf "%s: no structured error" name);
+      for i = 1 to 3 do
+        Alcotest.(check string)
+          (Printf.sprintf "%s: repeat %d, same error" name i)
+          want (Srv.handle_line t line)
+      done)
+    cases;
+  Alcotest.(check (pair int int)) "nothing memoized" (0, 0)
+    (Srv.key_memo_usage t);
+  Alcotest.(check int) "no memo hits" 0 (memo_hits t);
+  Alcotest.(check (option int))
+    "the planner never ran" (Some 0)
+    (Srv.metric_value t "ccs_serve_plan_builds_total")
+
+let test_memo_hit_rebuilds_evicted () =
+  (* no hot cache and a one-record store: the second graph evicts the
+     first one's record, so the first one's repeat is a memo hit that
+     must rebuild *)
+  let config =
+    daemon_config
+      ~f:(fun c -> { c with Srv.hot_cache = 0; store_max_entries = 1 })
+      ()
+  in
+  let t = Srv.make config in
+  let a = plan_line (app_graph "fm-radio") in
+  let first = Srv.handle_line t a in
+  Unix.sleepf 0.05;
+  ignore (Srv.handle_line t (plan_line (app_graph "fft")));
+  Alcotest.(check (option int))
+    "the first record was evicted" (Some 1)
+    (Srv.metric_value t "ccs_serve_cache_evictions_total");
+  let again = Srv.handle_line t a in
+  Alcotest.(check int) "memo hit" 1 (memo_hits t);
+  Alcotest.(check bool) "rebuilt, not cached" false (is_cached again);
+  Alcotest.(check string) "same answer as the first build"
+    (volatile_free first) (volatile_free again);
+  Alcotest.(check string)
+    "same answer as a fresh daemon"
+    (volatile_free (Srv.handle_line (make_daemon ()) a))
+    (volatile_free again)
+
+let test_memo_hit_rebuilds_torn () =
+  (* chaos tears the record written at request 0; the repeat is a memo
+     hit whose store lookup quarantines the record and rebuilds it *)
+  let config =
+    daemon_config
+      ~f:(fun c ->
+        { c with Srv.hot_cache = 0; chaos = Ccs.Fault.parse_env "truncate@0" })
+      ()
+  in
+  let t = Srv.make config in
+  let line = plan_line ~dry_run:true (app_graph "fm-radio") in
+  let first = Srv.handle_line t line in
+  let again = Srv.handle_line t line in
+  Alcotest.(check int) "memo hit" 1 (memo_hits t);
+  Alcotest.(check bool) "rebuilt, not cached" false (is_cached again);
+  Alcotest.(check int) "torn record quarantined" 1
+    (Array.length
+       (Sys.readdir
+          (Filename.concat config.Srv.dir
+             (Filename.concat "plans" "quarantine"))));
+  Alcotest.(check string) "same answer as the first build"
+    (volatile_free first) (volatile_free again);
+  let third = Srv.handle_line t line in
+  Alcotest.(check int) "memo hit again" 2 (memo_hits t);
+  Alcotest.(check bool) "the rebuilt record hits" true (is_cached third);
+  Alcotest.(check string)
+    "same answer as a fresh daemon"
+    (volatile_free (Srv.handle_line (Srv.make config) line))
+    (volatile_free third)
+
+let test_memo_budget () =
+  let config = daemon_config () in
+  let t = Srv.make config in
+  let graph =
+    Ccs.Serial.to_text (Ccs.Generators.uniform_pipeline ~n:4 ~state:8 ())
+  in
+  (* one graph in many texts: a leading comment makes each identity its
+     own, a little over a fifth of the budget, so four fit *)
+  let text i pad = Printf.sprintf "# %d %s\n%s" i (String.make pad 'x') graph in
+  let line i = plan_line ~m:256 (text i (Srv.key_memo_bytes / 5)) in
+  let want =
+    normalize (Srv.handle_line (make_daemon ()) (plan_line ~m:256 graph))
+  in
+  for i = 0 to 11 do
+    let r = Srv.handle_line t (line i) in
+    Alcotest.(check string) (Printf.sprintf "text %d: same plan" i) want
+      (normalize r);
+    let _, bytes = Srv.key_memo_usage t in
+    if bytes > Srv.key_memo_bytes then
+      Alcotest.failf "text %d: memo holds %d bytes, over its %d budget" i bytes
+        Srv.key_memo_bytes
+  done;
+  Alcotest.(check int) "distinct texts never hit" 0 (memo_hits t);
+  Alcotest.(check int) "evicted down to what fits" 4
+    (fst (Srv.key_memo_usage t));
+  ignore (Srv.handle_line t (line 11));
+  Alcotest.(check int) "the most recent text is still memoized" 1
+    (memo_hits t);
+  Alcotest.(check string) "an evicted text is answered the same" want
+    (normalize (Srv.handle_line t (line 0)));
+  Alcotest.(check int) "as a memo miss" 1 (memo_hits t);
+  (* an identity larger than the whole budget is answered, not memoized *)
+  let before = Srv.key_memo_usage t in
+  let huge = plan_line ~m:256 (text 99 (Srv.key_memo_bytes + 1)) in
+  Alcotest.(check string) "an oversized text is answered" want
+    (normalize (Srv.handle_line t huge));
+  Alcotest.(check (pair int int)) "and not memoized" before
+    (Srv.key_memo_usage t)
 
 (* --- the soak test: a real forked daemon ----------------------------------- *)
 
@@ -946,6 +1207,51 @@ let test_overload_shed () =
       Alcotest.failf "retrying client was killed by %s" (signal_name n)
   | _, Unix.WSTOPPED n ->
       Alcotest.failf "retrying client was stopped by %s" (signal_name n))
+
+let test_shed_dumps_rate_limited () =
+  (* A shed storm inside one rate-limit window writes one flight dump;
+     every other shed is counted as suppressed, and every shed still
+     counts as a shed. *)
+  let dir = tmp_dir () in
+  let sock = Filename.concat dir "d.sock" in
+  let state = Filename.concat dir "state" in
+  let config =
+    {
+      (Srv.default_config ~address:(Srv.Unix_socket sock) ~dir:state) with
+      Srv.max_inflight = 1;
+    }
+  in
+  with_daemon config sock @@ fun pid ->
+  (* one idle connection fills the worker; every later one is shed *)
+  let idle = Srv.connect config.Srv.address in
+  Unix.sleepf 0.15;
+  let n = 6 in
+  for i = 1 to n do
+    let fd = Srv.connect config.Srv.address in
+    Alcotest.(check (option string))
+      (Printf.sprintf "connection %d shed" i)
+      (Some "overloaded")
+      (error_code (input_line (Unix.in_channel_of_descr fd)));
+    Unix.close fd
+  done;
+  (* the worker publishes its snapshot before answering a shed *)
+  let snapshot =
+    Filename.concat (Filename.concat state "metrics")
+      (Printf.sprintf "worker-%d.json" pid)
+  in
+  let counter name = file_metric snapshot name in
+  Alcotest.(check (option int)) "shed" (Some n)
+    (counter "ccs_serve_shed_total");
+  Alcotest.(check (option int)) "one dump" (Some 1)
+    (counter "ccs_serve_flight_dumps_total");
+  Alcotest.(check (option int))
+    "the rest suppressed" (Some (n - 1))
+    (counter "ccs_serve_flight_dumps_suppressed_total");
+  Alcotest.(check (list string))
+    "one shed dump on disk"
+    [ Printf.sprintf "worker-%d-shed.ccsflight" pid ]
+    (Array.to_list (Sys.readdir (Filename.concat state "flight")));
+  Unix.close idle
 
 let test_client_survives_broken_pipe () =
   (* A listener that accepts and closes without reading: a request far
@@ -1595,6 +1901,23 @@ let () =
             test_dry_run_matches_codegen;
           Alcotest.test_case "metrics accounting" `Quick
             test_metrics_accounting;
+          Alcotest.test_case "metrics dir recreated" `Quick
+            test_metrics_dir_recreated;
+        ] );
+      ( "key memo",
+        [
+          Alcotest.test_case "repeat is a memo hit" `Quick test_memo_repeat;
+          Alcotest.test_case "trace id and dry run hit" `Quick
+            test_memo_ignores_trace_and_dry_run;
+          Alcotest.test_case "cache fields separate" `Quick
+            test_memo_separates_fields;
+          Alcotest.test_case "errors never memoized" `Quick
+            test_memo_never_holds_errors;
+          Alcotest.test_case "evicted record rebuilt" `Quick
+            test_memo_hit_rebuilds_evicted;
+          Alcotest.test_case "torn record rebuilt" `Quick
+            test_memo_hit_rebuilds_torn;
+          Alcotest.test_case "byte budget" `Quick test_memo_budget;
         ] );
       ( "lru index",
         [
@@ -1630,6 +1953,8 @@ let () =
             test_live_fuzz_flood;
           Alcotest.test_case "client survives a broken pipe" `Quick
             test_client_survives_broken_pipe;
+          Alcotest.test_case "shed flight dumps rate-limited" `Slow
+            test_shed_dumps_rate_limited;
         ] );
       ( "observability",
         [
