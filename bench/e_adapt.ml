@@ -11,7 +11,7 @@
                 from-scratch optimum the adapted run chases.
 
    Acceptance: adapted beats stale on every app; the gap to scratch is
-   reported; a data-carrying overlay proves the adapted (migrated) run
+   reported; a data-carrying engine proves the adapted (migrated) run
    sinks bit-identical values to an undisturbed reference run; and the
    whole experiment is deterministic — two adapted runs produce identical
    metrics snapshots.
@@ -35,7 +35,6 @@ let divisor = 4
 let shrink_epoch = 2
 let outputs = 8_000
 let epochs = 16
-let overlay_seed = 7
 
 let chaos () =
   Ccs.Fault.env_of_sites
@@ -46,17 +45,21 @@ let chaos () =
       };
     ]
 
-(* One arm: an Adapt.run with a data-carrying overlay attached to every
-   machine the loop creates (the initial one and every migration target). *)
+(* One arm: an Adapt.run with a data-carrying engine over the compiled
+   backend's semantics attached to every machine the loop creates (the
+   initial one and every migration target). *)
 let arm ?metrics ?env ~adapt ~planner g cache =
-  let overlay = Ccs.Overlay.create ~seed:overlay_seed g in
+  let engine =
+    Ccs.Engine.detached
+      (Ccs.Program.create g (Ccs.Codegen.codegen_semantics g))
+  in
   match
     Ccs.Adapt.run ?metrics ?env ~adapt
       ~epoch_outputs:(outputs / epochs)
-      ~prepare:(Ccs.Overlay.attach overlay)
+      ~prepare:(Ccs.Engine.attach engine)
       ~graph:g ~cache ~planner ~outputs ()
   with
-  | Ok report -> (report, overlay)
+  | Ok report -> (report, engine)
   | Error e -> failwith (Ccs.Error.to_string e)
 
 let e22 () =
@@ -83,12 +86,12 @@ let e22 () =
         let stale, _ = arm ~env:(chaos ()) ~adapt:false ~planner g cache in
         let adapted_run () =
           let metrics = Ccs.Metrics.create () in
-          let report, overlay =
+          let report, engine =
             arm ~metrics ~env:(chaos ()) ~adapt:true ~planner g cache
           in
-          (report, overlay, Ccs.Metrics.to_json_string metrics)
+          (report, engine, Ccs.Metrics.to_json_string metrics)
         in
-        let adapted, overlay, snapshot = adapted_run () in
+        let adapted, engine, snapshot = adapted_run () in
         let _, _, snapshot2 = adapted_run () in
         let deterministic = String.equal snapshot snapshot2 in
         if not deterministic then incr nondeterministic;
@@ -97,8 +100,8 @@ let e22 () =
         in
         let misses r = r.Ccs.Adapt.result.Ccs.Runner.misses in
         if misses adapted >= misses stale then incr regressions;
-        let mism = Ccs.Overlay.mismatches ~reference overlay in
-        let compared = Ccs.Overlay.compared ~reference overlay in
+        let mism = Ccs.Engine.mismatches ~reference engine in
+        let compared = Ccs.Engine.compared ~reference engine in
         assert (compared > 0);
         total_mismatches := !total_mismatches + mism;
         (* Gap to the from-scratch optimum, in thousandths (an integer, so

@@ -69,7 +69,7 @@ let bench_engine_overhead =
   let g = Ccs.Generators.uniform_pipeline ~n:8 ~state:32 () in
   let a = Ccs.Rates.analyze_exn g in
   let mb = Ccs.Minbuf.compute g a in
-  let program = Ccs.Program.create g (Ccs.Kernels.autobind g) in
+  let program = Ccs.Program.create g (Ccs.Codegen.codegen_semantics g) in
   Test.make ~name:"engine-1k-fires"
     (Staged.stage (fun () ->
          let e =

@@ -398,7 +398,7 @@ let run_cmd =
         Format.printf "%a@." Ccs.Fault.pp fault;
         let program =
           Ccs.Program.inject fault
-            (Ccs.Program.create g (Ccs.Kernels.autobind g))
+            (Ccs.Program.create g (Ccs.Codegen.codegen_semantics g))
         in
         let r =
           Result.bind
@@ -1454,6 +1454,12 @@ let () =
         1
     | Sys_error msg ->
         prerr_endline ("ccsched: i/o error: " ^ msg);
+        1
+    | Unix.Unix_error (e, fn, arg) ->
+        prerr_endline
+          (Printf.sprintf "ccsched: %s%s: %s" fn
+             (if arg = "" then "" else " " ^ arg)
+             (Unix.error_message e));
         1
     | exn ->
         prerr_endline ("ccsched: internal error: " ^ Printexc.to_string exn);

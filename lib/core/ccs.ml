@@ -50,7 +50,6 @@ module Trace_analysis = Ccs_cache.Trace_analysis
 module Machine = Ccs_exec.Machine
 module Fault = Ccs_exec.Fault
 module Checkpoint = Ccs_exec.Checkpoint
-module Overlay = Ccs_exec.Overlay
 module Replay = Ccs_exec.Replay
 module Clock = Ccs_exec.Clock
 module Plan_key = Ccs_exec.Plan_key

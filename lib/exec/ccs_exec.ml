@@ -5,6 +5,5 @@ module Machine = Machine
 module Replay = Replay
 module Fault = Fault
 module Checkpoint = Checkpoint
-module Overlay = Overlay
 module Clock = Clock
 module Plan_key = Plan_key

@@ -33,10 +33,10 @@ val chrome_spans :
     timestamps with [trace_id]/[span_id]/[parent] in [args]. *)
 
 val write : path:string -> string -> unit
-(** Write a serialized document to [path] (plus a trailing newline),
-    atomically: the document is written to [path ^ ".tmp"] and renamed
-    into place, so a crash mid-write never leaves a truncated file at
-    [path]. *)
+(** Write a serialized document to [path] (plus a trailing newline) with
+    {!Ccs_sdf.Binio.write_atomic}: a crash mid-write leaves the previous
+    file (or nothing) at [path], never a truncated document, and
+    concurrent writers cannot clobber each other's temp file. *)
 
 val entity_summary :
   Counters.t -> label:(int -> string) -> (string * int * int) list

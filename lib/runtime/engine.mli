@@ -17,9 +17,28 @@
     (including those wrapped by {!Program.inject}) instead of crashing or
     corrupting downstream state: a kernel that raises, emits non-finite
     tokens (with [validate]), or initialises state of the wrong arity comes
-    back as a structured {!Ccs_sdf.Error.Fault} naming the module. *)
+    back as a structured {!Ccs_sdf.Error.Fault} naming the module.
+
+    {2 Sink-stream oracle}
+
+    An engine records one value per sink firing: a digest of the exact
+    bits of the tokens consumed.  Each module's k-th firing consumes
+    exactly what its producers' earlier firings pushed, so by Kahn
+    determinism these streams depend only on the program — not on the
+    schedule, the cache, or mid-run repartitioning.  A {!detached} engine
+    {!attach}ed to every machine a run creates (e.g. through
+    {!Ccs_sched.Adapt.run}'s [prepare]) survives checkpointed migration,
+    because {!Ccs_exec.Machine.migrate} carries channel token counts and
+    the token values were never machine state; {!mismatches} against an
+    undisturbed reference run is then the bit-exactness verdict. *)
 
 type t
+
+exception Out_of_sync of { node : string; edge : Ccs_sdf.Graph.edge }
+(** Raised from the fire hook when, after module [node] fired, channel
+    [edge] holds a different number of data tokens than the machine
+    counts: some firing bypassed the engine (its machine ran without the
+    engine's fire hook). *)
 
 val create :
   ?record_trace:bool ->
@@ -57,13 +76,28 @@ val create_checked :
     [Fault] with class [Bad_state_arity] naming the module, and capacity
     violations surface as [Failure_msg] rather than exceptions. *)
 
+val detached : Program.t -> t
+(** An engine with fresh kernel state and no machine yet: {!attach} one
+    before firing.
+    @raise Invalid_argument if some kernel's [init] returns state of the
+    wrong length. *)
+
+val attach : t -> Ccs_exec.Machine.t -> unit
+(** Install the engine as the machine's fire hook and make it the
+    engine's machine.  The machine must run the engine's graph with
+    channel token counts matching the engine's queues — a fresh machine
+    for a fresh engine, or the {!Ccs_exec.Machine.migrate} target of the
+    engine's previous machine. *)
+
 val machine : t -> Ccs_exec.Machine.t
-(** The underlying machine (statistics, occupancies; the fire hook slot is
-    owned by the engine — do not overwrite it). *)
+(** The machine the engine is attached to (statistics, occupancies; the
+    fire hook slot is owned by the engine — do not overwrite it).
+    @raise Invalid_argument on a {!detached} engine never attached. *)
 
 val fire : t -> Ccs_sdf.Graph.node -> unit
 (** Fire one module: checks legality, moves cache blocks, and runs the
-    kernel. *)
+    kernel.
+    @raise Out_of_sync if the engine missed earlier firings. *)
 
 val run_plan : t -> Ccs_sched.Plan.t -> outputs:int -> Ccs_sched.Runner.result
 (** Drive the engine's machine with the plan until the sink has fired
@@ -102,3 +136,16 @@ val state : t -> Ccs_sdf.Graph.node -> float array
 val queue_length : t -> Ccs_sdf.Graph.edge -> int
 (** Data tokens currently queued on a channel (always equals the machine's
     token count). *)
+
+val mismatches : reference:t -> t -> int
+(** Positions in the common prefix of each sink's value stream where the
+    two engines disagree, plus every value of a sink unknown to
+    [reference].  Comparing prefixes (not lengths) is deliberate:
+    epoch-aligned runs overshoot a requested output count to a
+    whole-period boundary, so two correct runs may differ in length but
+    never in content. *)
+
+val compared : reference:t -> t -> int
+(** Number of sink values {!mismatches} actually compared (the summed
+    common-prefix lengths) — guards against vacuous zero-mismatch
+    verdicts. *)

@@ -1,40 +1,21 @@
-(** A library of ready-made kernels for the usual streaming-module roles.
+(** Hand-written kernels for the FM receiver demo
+    ([examples/fm_receiver_demo.ml]).
 
     Each constructor documents the rate signature it expects; wiring a
     kernel onto a module with different rates is caught at fire time by
     array lengths, and the state size must match the graph's declaration
-    (checked by {!Program.create}). *)
-
-(** {1 Sources and sinks} *)
-
-val sine_source : state_words:int -> freq:float -> Kernel.t
-(** No inputs; fills every output channel with samples of [sin (2π·freq·n)]
-    (one global phase advancing per produced token).  [freq] is in cycles
-    per sample. *)
+    (checked by {!Program.create}).  Synthetic runs over arbitrary graphs
+    bind {!Ccs_codegen.Codegen.codegen_semantics} instead, the semantics the
+    compiled backend executes. *)
 
 val fm_source : state_words:int -> carrier:float -> tone:float -> Kernel.t
 (** An FM-modulated carrier: phase advances by
     [carrier + 0.5·tone_amplitude·sin(2π·tone·n)] per sample — demodulating
     it should recover the [tone]-frequency baseband. *)
 
-val counter_source : state_words:int -> Kernel.t
-(** Produces 0, 1, 2, ... (useful for data-integrity tests). *)
-
-val null_sink : state_words:int -> Kernel.t
-(** Discards its inputs. *)
-
 val collecting_sink : state_words:int -> Kernel.t * (unit -> float list)
 (** Keeps every consumed token; the returned getter lists them in arrival
     order. *)
-
-(** {1 Rate-preserving transforms} *)
-
-val identity : state_words:int -> Kernel.t
-(** Copies the single input channel to the single output channel
-    (any matching rate). *)
-
-val gain : state_words:int -> float -> Kernel.t
-(** Scales every token. *)
 
 val fir : taps:float array -> Kernel.t
 (** Single-in single-out FIR filter with the given coefficients; works for
@@ -47,40 +28,3 @@ val fm_demodulate : state_words:int -> Kernel.t
 (** Rectified slope detector: output is [|x(n) - x(n-1)|], whose low-passed
     value is proportional to the instantaneous frequency of a narrowband FM
     input — enough to recover the baseband tone in the receiver demo. *)
-
-val sbox : table_words:int -> Kernel.t
-(** Table substitution: output = table[(int input) mod table size]; the
-    table is the state (initialized to a fixed pseudo-random permutation),
-    so firing it genuinely reads the big state. *)
-
-(** {1 Fan-in / fan-out} *)
-
-val duplicate : state_words:int -> Kernel.t
-(** Copies its single input token stream to every output channel. *)
-
-val round_robin_split : state_words:int -> Kernel.t
-(** Deals consumed tokens across output channels in order (total pushes
-    must equal total pops). *)
-
-val adder : state_words:int -> Kernel.t
-(** Sums across input channels position-wise onto the single output
-    channel (all inputs same arity as the output). *)
-
-val compare_exchange : state_words:int -> Kernel.t
-(** Two inputs, two outputs: (min, max). *)
-
-(** {1 Generic} *)
-
-val generic : state_words:int -> Kernel.t
-(** Works for {e any} rate signature: flattens all consumed tokens, then
-    fills output slot [k] with a cheap mixing function of input slot
-    [k mod consumed] (or an internal counter when there are no inputs).
-    Used by {!Autobind} to make arbitrary graphs runnable with live data
-    without hand-writing kernels. *)
-
-val autobind : Ccs_sdf.Graph.t -> Ccs_sdf.Graph.node -> Kernel.t
-(** Heuristic kernel choice from the module's shape: sources become
-    counters, sinks discard, unit-rate single-in/single-out modules become
-    FIRs sized to their state, everything else {!generic}.  Guarantees a
-    kernel whose [state_words] matches the graph's declaration, so
-    [Program.create g (Kernels.autobind g)] always succeeds. *)

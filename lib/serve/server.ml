@@ -1089,6 +1089,17 @@ let serve_loop t listen_fd ~stop =
 
 let stop = ref false
 
+(* A host that does not resolve is a transport error like any other — a
+   [Unix_error] the client retries and reports — not a [Not_found]. *)
+let resolve host =
+  match Unix.inet_addr_of_string host with
+  | addr -> addr
+  | exception Failure _ -> (
+      match Unix.gethostbyname host with
+      | { Unix.h_addr_list = [||]; _ } | (exception Not_found) ->
+          raise (Unix.Unix_error (Unix.EHOSTUNREACH, "gethostbyname", host))
+      | h -> h.Unix.h_addr_list.(0))
+
 let listen_fd config =
   let fd =
     match config.address with
@@ -1101,15 +1112,7 @@ let listen_fd config =
         Unix.bind fd (Unix.ADDR_UNIX path);
         fd
     | Tcp (host, port) ->
-        let addr =
-          try Unix.inet_addr_of_string host
-          with Failure _ -> (
-            match Unix.gethostbyname host with
-            | { Unix.h_addr_list = [||]; _ } ->
-                failwith ("cannot resolve " ^ host)
-            | h -> h.Unix.h_addr_list.(0)
-            | exception Not_found -> failwith ("cannot resolve " ^ host))
-        in
+        let addr = resolve host in
         let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
         Unix.setsockopt fd Unix.SO_REUSEADDR true;
         Unix.bind fd (Unix.ADDR_INET (addr, port));
@@ -1345,10 +1348,7 @@ let connect address =
       Unix.connect fd (Unix.ADDR_UNIX path);
       fd
   | Tcp (host, port) ->
-      let addr =
-        try Unix.inet_addr_of_string host
-        with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-      in
+      let addr = resolve host in
       let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
       Unix.connect fd (Unix.ADDR_INET (addr, port));
       fd

@@ -121,6 +121,10 @@ val key_memo_bytes : int
 (** {2 Client side} — used by [ccsched submit] and the tests. *)
 
 val connect : address -> Unix.file_descr
+(** Open a client connection.  A TCP host is a dotted address or a name;
+    a name that does not resolve raises [Unix_error (EHOSTUNREACH,
+    "gethostbyname", host)] like any other unreachable daemon.
+    @raise Unix.Unix_error if the daemon is unreachable. *)
 
 val request : ?timeout_ms:int -> address -> string -> string
 (** One round-trip: connect, send one request line, read one response
@@ -129,8 +133,8 @@ val request : ?timeout_ms:int -> address -> string -> string
     is ignored for the round-trip, so a connection the daemon closed
     before the request was written is an [EPIPE] error, not a signal that
     kills the caller.
-    @raise Unix.Unix_error if the daemon is unreachable or closed the
-    connection. *)
+    @raise Unix.Unix_error if the daemon is unreachable (including a host
+    name that does not resolve) or closed the connection. *)
 
 val request_retry :
   ?retries:int ->

@@ -224,18 +224,23 @@ let test_migrate_carries_state () =
 
 let shrink_env = F.parse_env "shrink@2:4"
 
-let adapt_run ?(adapt = true) ?env ?metrics ?policy g cfg ~outputs ~seed =
-  let overlay = Ccs.Overlay.create ~seed g in
+(* A data-carrying engine over the compiled backend's semantics, to attach
+   to every machine a run creates. *)
+let engine_for g =
+  Ccs.Engine.detached (Ccs.Program.create g (Ccs.Codegen.codegen_semantics g))
+
+let adapt_run ?(adapt = true) ?env ?metrics ?policy g cfg ~outputs =
+  let engine = engine_for g in
   match
     Ccs.Adapt.run ?policy ?env ?metrics ~adapt
       ~epoch_outputs:(max 1 (outputs / 16))
-      ~prepare:(Ccs.Overlay.attach overlay)
+      ~prepare:(Ccs.Engine.attach engine)
       ~graph:g
       ~cache:(Ccs.Config.cache_config cfg)
       ~planner:(Ccs.Auto.adapt_planner g cfg)
       ~outputs ()
   with
-  | Ok report -> (report, overlay)
+  | Ok report -> (report, engine)
   | Error e -> Alcotest.failf "adapt run failed: %s" (E.to_string e)
 
 let test_stale_vs_adapted_regression () =
@@ -245,11 +250,9 @@ let test_stale_vs_adapted_regression () =
   let g = entry.Ccs_apps.Suite.graph () in
   let cfg = Ccs.Config.make ~cache_words:2048 ~block_words:16 () in
   let stale, _ =
-    adapt_run ~adapt:false ~env:shrink_env g cfg ~outputs:8000 ~seed:1
+    adapt_run ~adapt:false ~env:shrink_env g cfg ~outputs:8000
   in
-  let adapted, _ =
-    adapt_run ~adapt:true ~env:shrink_env g cfg ~outputs:8000 ~seed:1
-  in
+  let adapted, _ = adapt_run ~adapt:true ~env:shrink_env g cfg ~outputs:8000 in
   let m r = r.Ccs.Adapt.result.Ccs.Runner.misses in
   Alcotest.(check bool) "adaptation happened" true
     (adapted.Ccs.Adapt.adaptations <> []);
@@ -261,18 +264,18 @@ let test_adapted_outputs_bit_exact () =
   let entry = Option.get (Ccs_apps.Suite.find "fm-radio") in
   let g = entry.Ccs_apps.Suite.graph () in
   let cfg = Ccs.Config.make ~cache_words:2048 ~block_words:16 () in
-  let _, reference = adapt_run ~adapt:false g cfg ~outputs:4000 ~seed:5 in
-  let adapted, overlay =
-    adapt_run ~adapt:true ~env:shrink_env g cfg ~outputs:4000 ~seed:5
+  let _, reference = adapt_run ~adapt:false g cfg ~outputs:4000 in
+  let adapted, engine =
+    adapt_run ~adapt:true ~env:shrink_env g cfg ~outputs:4000
   in
   Alcotest.(check bool) "migrated" true
     (List.exists
        (fun e -> e.Ccs.Adapt.action = Ccs.Adapt.Repartition)
        adapted.Ccs.Adapt.adaptations);
   Alcotest.(check bool) "values compared" true
-    (Ccs.Overlay.compared ~reference overlay > 0);
+    (Ccs.Engine.compared ~reference engine > 0);
   Alcotest.(check int) "bit-exact sink outputs" 0
-    (Ccs.Overlay.mismatches ~reference overlay)
+    (Ccs.Engine.mismatches ~reference engine)
 
 let test_adapt_deterministic () =
   let entry = Option.get (Ccs_apps.Suite.find "fm-radio") in
@@ -282,7 +285,6 @@ let test_adapt_deterministic () =
     let metrics = Ccs.Metrics.create () in
     let report, _ =
       adapt_run ~adapt:true ~env:shrink_env ~metrics g cfg ~outputs:4000
-        ~seed:5
     in
     (Ccs.Metrics.to_json_string metrics, report.Ccs.Adapt.adaptations)
   in
@@ -299,11 +301,11 @@ let test_io_fault_contained () =
   let dir = Filename.temp_file "ccs-test-adapt" "" in
   Sys.remove dir;
   let env = F.parse_env "shrink@2:4,iofault@0:32" in
-  let overlay = Ccs.Overlay.create ~seed:5 g in
+  let engine = engine_for g in
   (match
      Ccs.Adapt.run ~env ~adapt:true ~checkpoint_dir:dir ~checkpoint_every:2
        ~epoch_outputs:250
-       ~prepare:(Ccs.Overlay.attach overlay)
+       ~prepare:(Ccs.Engine.attach engine)
        ~graph:g
        ~cache:(Ccs.Config.cache_config cfg)
        ~planner:(Ccs.Auto.adapt_planner g cfg)
@@ -342,12 +344,10 @@ let qcheck_migration_bit_exact =
         }
       in
       let env = F.env_plan ~seed ~count:4 () in
-      let _, reference = adapt_run ~adapt:false g cfg ~outputs:600 ~seed in
-      let _, overlay =
-        adapt_run ~adapt:true ~policy ~env g cfg ~outputs:600 ~seed
-      in
-      Ccs.Overlay.compared ~reference overlay > 0
-      && Ccs.Overlay.mismatches ~reference overlay = 0)
+      let _, reference = adapt_run ~adapt:false g cfg ~outputs:600 in
+      let _, engine = adapt_run ~adapt:true ~policy ~env g cfg ~outputs:600 in
+      Ccs.Engine.compared ~reference engine > 0
+      && Ccs.Engine.mismatches ~reference engine = 0)
 
 let () =
   Alcotest.run "adapt"

@@ -8,41 +8,6 @@ let cache64 = Ccs.Cache.config ~size_words:64 ~block_words:8 ()
 
 (* --- kernel unit tests ----------------------------------------------------- *)
 
-let fire1 (k : Ccs.Kernel.t) ~inputs ~out_shapes =
-  let state = k.Ccs.Kernel.init () in
-  let outputs = Array.map (fun n -> Array.make n 0.) out_shapes in
-  k.Ccs.Kernel.fire ~state ~inputs ~outputs;
-  outputs
-
-let test_identity_gain () =
-  let id = Ccs.Kernels.identity ~state_words:4 in
-  let out = fire1 id ~inputs:[| [| 1.; 2.; 3. |] |] ~out_shapes:[| 3 |] in
-  Alcotest.(check (array (float 0.))) "identity" [| 1.; 2.; 3. |] out.(0);
-  let g2 = Ccs.Kernels.gain ~state_words:4 2. in
-  let out = fire1 g2 ~inputs:[| [| 1.; 2. |] |] ~out_shapes:[| 2 |] in
-  Alcotest.(check (array (float 1e-9))) "gain x2" [| 2.; 4. |] out.(0)
-
-let test_adder_duplicate_split () =
-  let add = Ccs.Kernels.adder ~state_words:4 in
-  let out =
-    fire1 add ~inputs:[| [| 1.; 2. |]; [| 10.; 20. |] |] ~out_shapes:[| 2 |]
-  in
-  Alcotest.(check (array (float 1e-9))) "adder" [| 11.; 22. |] out.(0);
-  let dup = Ccs.Kernels.duplicate ~state_words:4 in
-  let out = fire1 dup ~inputs:[| [| 7. |] |] ~out_shapes:[| 1; 1 |] in
-  Alcotest.(check (float 0.)) "dup a" 7. out.(0).(0);
-  Alcotest.(check (float 0.)) "dup b" 7. out.(1).(0);
-  let split = Ccs.Kernels.round_robin_split ~state_words:4 in
-  let out = fire1 split ~inputs:[| [| 1.; 2.; 3. |] |] ~out_shapes:[| 2; 1 |] in
-  Alcotest.(check (array (float 0.))) "split first" [| 1.; 2. |] out.(0);
-  Alcotest.(check (array (float 0.))) "split second" [| 3. |] out.(1)
-
-let test_compare_exchange () =
-  let cmp = Ccs.Kernels.compare_exchange ~state_words:2 in
-  let out = fire1 cmp ~inputs:[| [| 9. |]; [| 3. |] |] ~out_shapes:[| 1; 1 |] in
-  Alcotest.(check (float 0.)) "min" 3. out.(0).(0);
-  Alcotest.(check (float 0.)) "max" 9. out.(1).(0)
-
 let test_fir_matches_convolution () =
   (* Stream 32 samples one at a time through a 4-tap FIR and compare with
      direct convolution. *)
@@ -70,26 +35,39 @@ let test_fir_matches_convolution () =
     samples
 
 let test_counter_and_collect () =
-  let src = Ccs.Kernels.counter_source ~state_words:1 in
+  (* The synthetic source counts up across firings; the collecting sink
+     keeps every token in arrival order. *)
+  let g = Ccs.Generators.uniform_pipeline ~n:2 ~state:1 () in
+  let src = Ccs.Codegen.codegen_semantics g 0 in
   let state = src.Ccs.Kernel.init () in
   let outputs = [| Array.make 3 0. |] in
   src.Ccs.Kernel.fire ~state ~inputs:[||] ~outputs;
   Alcotest.(check (array (float 0.))) "0 1 2" [| 0.; 1.; 2. |] outputs.(0);
   src.Ccs.Kernel.fire ~state ~inputs:[||] ~outputs;
-  Alcotest.(check (array (float 0.))) "3 4 5" [| 3.; 4.; 5. |] outputs.(0)
+  Alcotest.(check (array (float 0.))) "3 4 5" [| 3.; 4.; 5. |] outputs.(0);
+  let sink, collected = Ccs.Kernels.collecting_sink ~state_words:1 in
+  sink.Ccs.Kernel.fire ~state:(sink.Ccs.Kernel.init ())
+    ~inputs:[| [| 1.; 2. |]; [| 3. |] |]
+    ~outputs:[||];
+  Alcotest.(check (list (float 0.))) "arrival order" [ 1.; 2.; 3. ]
+    (collected ())
 
 (* --- engine data integrity ------------------------------------------------- *)
+
+let copy ~state_words =
+  Ccs.Kernel.stateless ~state_words (fun ~inputs ~outputs ->
+      Array.blit inputs.(0) 0 outputs.(0) 0 (Array.length outputs.(0)))
 
 let test_program_checks_state () =
   let g = Ccs.Generators.uniform_pipeline ~n:2 ~state:8 () in
   match
-    Ccs.Program.create g (fun _ -> Ccs.Kernels.identity ~state_words:4)
+    Ccs.Program.create g (fun _ -> copy ~state_words:4)
   with
   | _ -> Alcotest.fail "state mismatch must be rejected"
   | exception Invalid_argument _ -> ()
 
 let test_chain_preserves_sequence () =
-  (* counter -> identity chain -> collector: the collected stream must be
+  (* counter -> copy chain -> collector: the collected stream must be
      0,1,2,... in order, under both a static and a dynamic partitioned
      plan. *)
   let n = 6 in
@@ -108,9 +86,9 @@ let test_chain_preserves_sequence () =
       let sink_kernel, collected = Ccs.Kernels.collecting_sink ~state_words:8 in
       let program =
         Ccs.Program.create g (fun v ->
-            if v = 0 then Ccs.Kernels.counter_source ~state_words:8
+            if v = 0 then Ccs.Codegen.codegen_semantics g v
             else if v = n - 1 then sink_kernel
-            else Ccs.Kernels.identity ~state_words:8)
+            else copy ~state_words:8)
       in
       let engine = Ccs.Engine.of_plan ~program ~cache:cache64 ~plan () in
       let result = Ccs.Engine.run_plan engine plan ~outputs:100 in
@@ -131,8 +109,8 @@ let test_queue_matches_machine () =
   let g = Ccs.Generators.uniform_pipeline ~n:3 ~state:8 () in
   let program =
     Ccs.Program.create g (fun v ->
-        if v = 0 then Ccs.Kernels.counter_source ~state_words:8
-        else Ccs.Kernels.identity ~state_words:8)
+        if v = 0 then Ccs.Codegen.codegen_semantics g v
+        else copy ~state_words:8)
   in
   let engine =
     Ccs.Engine.create ~program ~cache:cache64 ~capacities:[| 4; 4 |] ()
@@ -157,7 +135,7 @@ let test_delay_tokens_are_zeros () =
   let sink_kernel, collected = Ccs.Kernels.collecting_sink ~state_words:1 in
   let program =
     Ccs.Program.create g (fun v ->
-        if v = x then Ccs.Kernels.counter_source ~state_words:1 else sink_kernel)
+        if v = x then Ccs.Codegen.codegen_semantics g v else sink_kernel)
   in
   let engine =
     Ccs.Engine.create ~program ~cache:cache64 ~capacities:[| 4 |] ()
@@ -273,64 +251,72 @@ let test_fm_path () =
   let mx = Array.fold_left Float.max neg_infinity averaged in
   Alcotest.(check bool) "modulation visible" true (mx -. mn > 0.1 *. mx)
 
-let test_sbox_hostile_inputs () =
-  (* Regression: the table index used [abs (int_of_float (x * n))], which
-     is unspecified for NaN and out-of-range floats and negative for
-     [min_int] — a hostile token could read out of bounds.  Every float,
-     however pathological, must map inside the table. *)
-  let table_words = 64 in
-  let k = Ccs.Kernels.sbox ~table_words in
-  let state = k.Ccs.Kernel.init () in
-  Alcotest.(check int) "table arity" table_words (Array.length state);
-  let hostile =
-    [|
-      Float.nan;
-      Float.infinity;
-      Float.neg_infinity;
-      1e308;
-      -1e308;
-      4.611686018427388e18 (* ~ float max_int *);
-      -4.611686018427388e18;
-      -0.999999;
-      -0.;
-      0.;
-      0.5;
-      1.0;
-      -1.0;
-      Float.min_float;
-      -.Float.min_float;
-    |]
+(* --- the sink-stream oracle ---------------------------------------------- *)
+
+let semantics_engine ~plan g =
+  Ccs.Engine.of_plan
+    ~program:(Ccs.Program.create g (Ccs.Codegen.codegen_semantics g))
+    ~cache:cache64 ~plan ()
+
+let test_oracle_clean_run () =
+  (* Two different schedules of one program sink identical values. *)
+  let g = Ccs.Generators.uniform_pipeline ~n:5 ~state:8 () in
+  let a = R.analyze_exn g in
+  let spec = Ccs.Spec.of_assignment g [| 0; 0; 1; 1; 2 |] in
+  let batch = Ccs.Partitioned.batch g a spec ~t:16 in
+  let minimal = Ccs.Baseline.minimal_memory g a in
+  let reference = semantics_engine ~plan:batch g in
+  ignore (Ccs.Engine.run_plan reference batch ~outputs:200);
+  let engine = semantics_engine ~plan:minimal g in
+  ignore (Ccs.Engine.run_plan engine minimal ~outputs:150);
+  Alcotest.(check int) "common prefix compared" 150
+    (Ccs.Engine.compared ~reference engine);
+  Alcotest.(check int) "no mismatches" 0
+    (Ccs.Engine.mismatches ~reference engine)
+
+let test_oracle_catches_bypass () =
+  (* One firing of module [v] runs with the engine's hook detached; the
+     engine must notice, by raising [Out_of_sync] or by a sink value that
+     differs from an undisturbed run. *)
+  let g = Ccs.Generators.uniform_pipeline ~n:4 ~state:8 () in
+  let plan = Ccs.Baseline.minimal_memory g (R.analyze_exn g) in
+  let reference = semantics_engine ~plan g in
+  ignore (Ccs.Engine.run_plan reference plan ~outputs:100);
+  (* Pull schedule: fire the most downstream enabled module. *)
+  let step engine =
+    let m = Ccs.Engine.machine engine in
+    match List.find_opt (Ccs.Machine.can_fire m) (List.rev (G.nodes g)) with
+    | Some v -> Ccs.Engine.fire engine v
+    | None -> Alcotest.fail "pipeline stalled"
   in
-  let outputs = [| Array.make (Array.length hostile) Float.nan |] in
-  k.Ccs.Kernel.fire ~state ~inputs:[| hostile |] ~outputs;
-  Array.iteri
-    (fun i y ->
-      Alcotest.(check bool)
-        (Printf.sprintf "output %d is a table entry" i)
-        true
-        (Array.exists (fun s -> s = y) state))
-    outputs.(0);
-  (* NaN maps to slot 0; in-range values hit the expected slot. *)
-  Alcotest.(check (float 0.)) "nan -> slot 0" state.(0)
-    (let o = [| Array.make 1 0. |] in
-     k.Ccs.Kernel.fire ~state ~inputs:[| [| Float.nan |] |] ~outputs:o;
-     o.(0).(0));
-  Alcotest.(check (float 0.)) "0.5 -> slot n/2" state.(table_words / 2)
-    (let o = [| Array.make 1 0. |] in
-     k.Ccs.Kernel.fire ~state ~inputs:[| [| 0.5 |] |] ~outputs:o;
-     o.(0).(0))
+  List.iter
+    (fun v ->
+      let engine = semantics_engine ~plan g in
+      let m = Ccs.Engine.machine engine in
+      while not (Ccs.Machine.can_fire m v) do
+        step engine
+      done;
+      Ccs.Machine.set_fire_hook m None;
+      Ccs.Machine.fire m v;
+      Ccs.Engine.attach engine m;
+      match
+        while Ccs.Machine.sink_outputs m < 100 do
+          step engine
+        done
+      with
+      | exception Ccs.Engine.Out_of_sync _ -> ()
+      | () ->
+          Alcotest.(check bool)
+            (Printf.sprintf "bypassed %s caught" (G.node_name g v))
+            true
+            (Ccs.Engine.mismatches ~reference engine > 0))
+    (G.nodes g)
 
 let () =
   Alcotest.run "runtime"
     [
       ( "kernels",
         [
-          Alcotest.test_case "identity/gain" `Quick test_identity_gain;
-          Alcotest.test_case "sbox hostile floats" `Quick
-            test_sbox_hostile_inputs;
-          Alcotest.test_case "adder/dup/split" `Quick
-            test_adder_duplicate_split;
-          Alcotest.test_case "compare-exchange" `Quick test_compare_exchange;
           Alcotest.test_case "fir = convolution" `Quick
             test_fir_matches_convolution;
           Alcotest.test_case "counter/collect" `Quick test_counter_and_collect;
@@ -345,6 +331,10 @@ let () =
             test_queue_matches_machine;
           Alcotest.test_case "delay tokens are zeros" `Quick
             test_delay_tokens_are_zeros;
+          Alcotest.test_case "oracle: clean run compares" `Quick
+            test_oracle_clean_run;
+          Alcotest.test_case "oracle: bypassed firing caught" `Quick
+            test_oracle_catches_bypass;
         ] );
       ( "end-to-end",
         [

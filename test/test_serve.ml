@@ -1306,6 +1306,17 @@ let test_client_survives_broken_pipe () =
       Alcotest.failf "client was stopped by %s" (signal_name n));
   Alcotest.(check int) "first attempt plus two retries" 3 attempts
 
+let test_unresolvable_host () =
+  (* A TCP host that does not resolve must surface as a transport error
+     (what the client reports as "cannot reach daemon"), not [Not_found].
+     A name with a NUL byte never resolves, and fails before any lookup
+     leaves the process. *)
+  let host = "no-such\000host" in
+  match Srv.request_retry ~retries:1 ~backoff_ms:1 (Srv.Tcp (host, 9)) "{}" with
+  | _ -> Alcotest.fail "got a response from an unresolvable host"
+  | exception Unix.Unix_error (Unix.EHOSTUNREACH, "gethostbyname", h) ->
+      Alcotest.(check string) "names the host" host h
+
 let test_breaker_quarantines_crash_loop () =
   let dir = tmp_dir () in
   let sock = Filename.concat dir "d.sock" in
@@ -1953,6 +1964,8 @@ let () =
             test_live_fuzz_flood;
           Alcotest.test_case "client survives a broken pipe" `Quick
             test_client_survives_broken_pipe;
+          Alcotest.test_case "unresolvable host is a transport error" `Quick
+            test_unresolvable_host;
           Alcotest.test_case "shed flight dumps rate-limited" `Slow
             test_shed_dumps_rate_limited;
         ] );

@@ -114,14 +114,14 @@ let test_tighten_reaches_floor () =
   let tight = Ccs.Minbuf.tighten g a ~capacities:[| 50; 50; 50; 50 |] () in
   Alcotest.(check (array int)) "all shrink to 1" [| 1; 1; 1; 1 |] tight
 
-(* --- Kernels.autobind -------------------------------------------------------- *)
+(* --- Codegen.codegen_semantics on arbitrary graphs ------------------------ *)
 
-let test_autobind_every_app_runs_data () =
+let test_semantics_every_app_runs_data () =
   let cfg = Ccs.Config.make ~cache_words:2048 ~block_words:16 () in
   List.iter
     (fun entry ->
       let g = entry.Ccs_apps.Suite.graph () in
-      let program = Ccs.Program.create g (Ccs.Kernels.autobind g) in
+      let program = Ccs.Program.create g (Ccs.Codegen.codegen_semantics g) in
       let choice = Ccs.Auto.plan ~dynamic:false g cfg in
       let engine =
         Ccs.Engine.of_plan ~program ~cache:(Ccs.Config.cache_config cfg)
@@ -134,10 +134,10 @@ let test_autobind_every_app_runs_data () =
         (r.Ccs.Runner.outputs >= 50))
     Ccs_apps.Suite.all
 
-let test_autobind_generators () =
+let test_semantics_generators () =
   List.iter
     (fun g ->
-      let program = Ccs.Program.create g (Ccs.Kernels.autobind g) in
+      let program = Ccs.Program.create g (Ccs.Codegen.codegen_semantics g) in
       let a = R.analyze_exn g in
       let plan = Ccs.Baseline.minimal_memory g a in
       let engine =
@@ -301,12 +301,12 @@ let () =
           Alcotest.test_case "tighten no worse" `Quick test_tighten_no_worse;
           Alcotest.test_case "tighten floor" `Quick test_tighten_reaches_floor;
         ] );
-      ( "autobind",
+      ( "semantics",
         [
           Alcotest.test_case "every app runs data" `Slow
-            test_autobind_every_app_runs_data;
+            test_semantics_every_app_runs_data;
           Alcotest.test_case "generators run data" `Quick
-            test_autobind_generators;
+            test_semantics_generators;
         ] );
       ( "dot",
         [ Alcotest.test_case "partition dot" `Quick test_partition_dot ] );
