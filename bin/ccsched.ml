@@ -104,6 +104,17 @@ let write_atomic ~path doc = Ccs.Binio.write_atomic ~path doc
 
 let with_graph graph f = f (or_die graph)
 
+(* Lint the cache numbers before any simulator is built from them; every
+   finding goes on the one error line. *)
+let require_cache_config ~m ~b =
+  let lint = Ccs.Check.cache_config ~size_words:m ~block_words:b () in
+  if not (Ccs.Check.is_ok lint) then
+    or_die
+      (Error
+         ("invalid cache configuration: "
+         ^ String.concat "; "
+             (List.map Ccs.Error.to_string lint.Ccs.Check.errors)))
+
 let ints_of_string s =
   try
     String.split_on_char ',' s
@@ -283,10 +294,7 @@ let run_cmd =
   let run graph m b outputs inject_seed inject_count checkpoint resume interval
       kill_after metrics_file log_file chaos adapt =
     with_graph graph @@ fun g ->
-    (let lint = Ccs.Check.cache_config ~size_words:m ~block_words:b () in
-     if not (Ccs.Check.is_ok lint) then (
-       Format.eprintf "%a@?" Ccs.Check.pp lint;
-       or_die (Error "invalid cache configuration")));
+    require_cache_config ~m ~b;
     (* Parse the chaos spec before planning so a bad spec fails fast. *)
     let env = Option.map Ccs.Fault.parse_env chaos in
     let cfg = Ccs.Config.make ~cache_words:m ~block_words:b () in
@@ -1012,6 +1020,10 @@ let trace_cmd =
 
 let multi_cmd =
   let run graph m b processors =
+    if processors < 1 then
+      or_die
+        (Error (Printf.sprintf "--processors must be >= 1, got %d" processors));
+    require_cache_config ~m ~b;
     with_graph graph @@ fun g ->
     let cfg = Ccs.Config.make ~cache_words:m ~block_words:b () in
     let a = Ccs.Rates.analyze_exn g in

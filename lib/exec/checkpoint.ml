@@ -9,6 +9,11 @@ module Metrics = Ccs_obs.Metrics
 let magic = "CCSCKPT1"
 let version = 1
 
+type observers = {
+  counters : (int array * int array) option;
+  tracer : (int * int) option; (* logical clock, dropped-event count *)
+}
+
 type t = {
   graph_digest : string;
   plan_name : string;
@@ -17,11 +22,19 @@ type t = {
   capacities : int array;
   machine : Machine.persisted;
   cache : Cache.persisted;
-  counters : (int array * int array) option;
-  tracer : (int * int) option; (* logical clock, dropped-event count *)
+  observers : observers;
 }
 
 let graph_digest = Plan_key.graph_digest
+
+let observers_of machine =
+  {
+    counters = Option.map Counters.dump (Machine.counters machine);
+    tracer =
+      Option.map
+        (fun tr -> (Tracer.clock tr, Tracer.dropped tr))
+        (Machine.tracer machine);
+  }
 
 let capture ~plan_name ~epoch machine =
   let g = Machine.graph machine in
@@ -31,64 +44,101 @@ let capture ~plan_name ~epoch machine =
     plan_name;
     epoch;
     cache_config = Cache.config_of cache;
-    capacities =
-      Array.init
-        (Graph.num_edges g)
-        (fun e -> Machine.capacity machine e);
+    capacities = Array.init (Graph.num_edges g) (Machine.capacity machine);
     machine = Machine.persist machine;
     cache = Cache.persist cache;
-    counters = Option.map Counters.dump (Machine.counters machine);
-    tracer =
-      Option.map
-        (fun tr -> (Tracer.clock tr, Tracer.dropped tr))
-        (Machine.tracer machine);
+    observers = observers_of machine;
   }
 
 (* --- wire format ---------------------------------------------------------- *)
 
-let policy_tag = Plan_key.policy_tag
-let policy_of_tag = Plan_key.policy_of_tag
+let encode_option w f = function
+  | None -> Binio.W.int w 0
+  | Some x ->
+      Binio.W.int w 1;
+      f x
+
+let decode_option r f = match Binio.R.int r with 0 -> None | _ -> Some (f ())
+
+let encode_machine w (p : Machine.persisted) =
+  Binio.W.int_array w p.Machine.p_fire_count;
+  Binio.W.int w p.Machine.p_total_fires;
+  Binio.W.int_array w p.Machine.p_heads;
+  Binio.W.int_array w p.Machine.p_tails;
+  Binio.W.int_array w p.Machine.p_consumed;
+  Binio.W.int_array w p.Machine.p_produced;
+  encode_option w (Binio.W.int w) p.Machine.p_budget
+
+let decode_machine r =
+  let p_fire_count = Binio.R.int_array r in
+  let p_total_fires = Binio.R.int r in
+  let p_heads = Binio.R.int_array r in
+  let p_tails = Binio.R.int_array r in
+  let p_consumed = Binio.R.int_array r in
+  let p_produced = Binio.R.int_array r in
+  let p_budget = decode_option r (fun () -> Binio.R.int r) in
+  {
+    Machine.p_fire_count;
+    p_total_fires;
+    p_heads;
+    p_tails;
+    p_consumed;
+    p_produced;
+    p_budget;
+  }
+
+let encode_cache w (p : Cache.persisted) =
+  Binio.W.int w p.Cache.p_accesses;
+  Binio.W.int w p.Cache.p_hits;
+  Binio.W.int w p.Cache.p_misses;
+  Binio.W.int w p.Cache.p_flushes;
+  Binio.W.int w (Array.length p.Cache.p_sets);
+  Array.iter (Binio.W.int_array w) p.Cache.p_sets
+
+let decode_cache ~path r =
+  let p_accesses = Binio.R.int r in
+  let p_hits = Binio.R.int r in
+  let p_misses = Binio.R.int r in
+  let p_flushes = Binio.R.int r in
+  let num_sets = Binio.R.int r in
+  if num_sets < 0 then
+    E.fail
+      (E.Checkpoint_corrupt
+         { path; reason = Printf.sprintf "implausible set count %d" num_sets });
+  (* Read set by set: an oversized count runs out of payload (a structured
+     underrun) before it can size an allocation. *)
+  let p_sets =
+    Array.of_list (List.init num_sets (fun _ -> Binio.R.int_array r))
+  in
+  { Cache.p_accesses; p_hits; p_misses; p_flushes; p_sets }
+
+let encode_observers w o =
+  let pair write (x, y) =
+    write w x;
+    write w y
+  in
+  encode_option w (pair Binio.W.int_array) o.counters;
+  encode_option w (pair Binio.W.int) o.tracer
+
+let decode_observers r =
+  let pair read () =
+    let x = read r in
+    (x, read r)
+  in
+  let counters = decode_option r (pair Binio.R.int_array) in
+  let tracer = decode_option r (pair Binio.R.int) in
+  { counters; tracer }
 
 let encode t =
   let w = Binio.W.create () in
   Binio.W.string w t.graph_digest;
   Binio.W.string w t.plan_name;
   Binio.W.int w t.epoch;
-  Binio.W.int w t.cache_config.Cache.size_words;
-  Binio.W.int w t.cache_config.Cache.block_words;
-  let tag, ways = policy_tag t.cache_config.Cache.policy in
-  Binio.W.int w tag;
-  Binio.W.int w ways;
+  Plan_key.encode_cache_config w t.cache_config;
   Binio.W.int_array w t.capacities;
-  Binio.W.int_array w t.machine.Machine.p_fire_count;
-  Binio.W.int w t.machine.Machine.p_total_fires;
-  Binio.W.int_array w t.machine.Machine.p_heads;
-  Binio.W.int_array w t.machine.Machine.p_tails;
-  Binio.W.int_array w t.machine.Machine.p_consumed;
-  Binio.W.int_array w t.machine.Machine.p_produced;
-  (match t.machine.Machine.p_budget with
-  | None -> Binio.W.int w 0
-  | Some b ->
-      Binio.W.int w 1;
-      Binio.W.int w b);
-  Binio.W.int w t.cache.Cache.p_accesses;
-  Binio.W.int w t.cache.Cache.p_hits;
-  Binio.W.int w t.cache.Cache.p_misses;
-  Binio.W.int w t.cache.Cache.p_flushes;
-  Binio.W.int w (Array.length t.cache.Cache.p_sets);
-  Array.iter (Binio.W.int_array w) t.cache.Cache.p_sets;
-  (match t.counters with
-  | None -> Binio.W.int w 0
-  | Some (accesses, misses) ->
-      Binio.W.int w 1;
-      Binio.W.int_array w accesses;
-      Binio.W.int_array w misses);
-  (match t.tracer with
-  | None -> Binio.W.int w 0
-  | Some (clock, dropped) ->
-      Binio.W.int w 1;
-      Binio.W.int w clock;
-      Binio.W.int w dropped);
+  encode_machine w t.machine;
+  encode_cache w t.cache;
+  encode_observers w t.observers;
   Binio.W.contents w
 
 let decode ~path payload =
@@ -96,52 +146,11 @@ let decode ~path payload =
   let graph_digest = Binio.R.string r in
   let plan_name = Binio.R.string r in
   let epoch = Binio.R.int r in
-  let size_words = Binio.R.int r in
-  let block_words = Binio.R.int r in
-  let tag = Binio.R.int r in
-  let ways = Binio.R.int r in
-  let policy = policy_of_tag ~path tag ways in
-  let cache_config =
-    try Cache.config ~policy ~size_words ~block_words ()
-    with Invalid_argument msg ->
-      E.fail (E.Checkpoint_corrupt { path; reason = msg })
-  in
+  let cache_config = Plan_key.decode_cache_config ~path r in
   let capacities = Binio.R.int_array r in
-  let p_fire_count = Binio.R.int_array r in
-  let p_total_fires = Binio.R.int r in
-  let p_heads = Binio.R.int_array r in
-  let p_tails = Binio.R.int_array r in
-  let p_consumed = Binio.R.int_array r in
-  let p_produced = Binio.R.int_array r in
-  let p_budget =
-    match Binio.R.int r with 0 -> None | _ -> Some (Binio.R.int r)
-  in
-  let p_accesses = Binio.R.int r in
-  let p_hits = Binio.R.int r in
-  let p_misses = Binio.R.int r in
-  let p_flushes = Binio.R.int r in
-  let num_sets = Binio.R.int r in
-  if num_sets < 0 || num_sets > String.length payload then
-    E.fail
-      (E.Checkpoint_corrupt
-         { path; reason = Printf.sprintf "implausible set count %d" num_sets });
-  let p_sets = Array.init num_sets (fun _ -> Binio.R.int_array r) in
-  let counters =
-    match Binio.R.int r with
-    | 0 -> None
-    | _ ->
-        let accesses = Binio.R.int_array r in
-        let misses = Binio.R.int_array r in
-        Some (accesses, misses)
-  in
-  let tracer =
-    match Binio.R.int r with
-    | 0 -> None
-    | _ ->
-        let clock = Binio.R.int r in
-        let dropped = Binio.R.int r in
-        Some (clock, dropped)
-  in
+  let machine = decode_machine r in
+  let cache = decode_cache ~path r in
+  let observers = decode_observers r in
   Binio.R.expect_end r;
   {
     graph_digest;
@@ -149,19 +158,9 @@ let decode ~path payload =
     epoch;
     cache_config;
     capacities;
-    machine =
-      {
-        Machine.p_fire_count;
-        p_total_fires;
-        p_heads;
-        p_tails;
-        p_consumed;
-        p_produced;
-        p_budget;
-      };
-    cache = { Cache.p_accesses; p_hits; p_misses; p_flushes; p_sets };
-    counters;
-    tracer;
+    machine;
+    cache;
+    observers;
   }
 
 (* Checkpoint I/O telemetry.  Latency is monotonic wall-clock time
@@ -219,8 +218,30 @@ let machine_key machine =
   let g = Machine.graph machine in
   Plan_key.of_graph g
     ~cache:(Cache.config_of (Machine.cache machine))
-    ~capacities:
-      (Array.init (Graph.num_edges g) (fun e -> Machine.capacity machine e))
+    ~capacities:(Array.init (Graph.num_edges g) (Machine.capacity machine))
+
+let validate_observers ~path o machine =
+  match (o.counters, Machine.counters machine) with
+  | Some (accesses, _), Some c when Array.length accesses <> Counters.entities c
+    ->
+      Error
+        (E.Checkpoint_mismatch
+           {
+             path;
+             field = "counters";
+             expected = string_of_int (Array.length accesses);
+             found = string_of_int (Counters.entities c);
+           })
+  | _ -> Ok ()
+
+let restore_observers o machine =
+  (match (o.counters, Machine.counters machine) with
+  | Some (accesses, misses), Some c -> Counters.load c ~accesses ~misses
+  | None, Some c -> Counters.reset c
+  | _, None -> ());
+  match (o.tracer, Machine.tracer machine) with
+  | Some (clock, dropped), Some tr -> Tracer.restore tr ~clock ~dropped
+  | _, _ -> ()
 
 let validate ~path t machine =
   (* The identity checks — graph digest, cache configuration, capacity
@@ -228,19 +249,7 @@ let validate ~path t machine =
      involve the planner, so both sides carry planner version 0). *)
   match Plan_key.check ~path ~expected:(key_of t) ~found:(machine_key machine) with
   | Error _ as e -> e
-  | Ok () -> (
-      match (t.counters, Machine.counters machine) with
-      | Some (accesses, _), Some c
-        when Array.length accesses <> Counters.entities c ->
-          Error
-            (E.Checkpoint_mismatch
-               {
-                 path;
-                 field = "counters";
-                 expected = string_of_int (Array.length accesses);
-                 found = string_of_int (Counters.entities c);
-               })
-      | _ -> Ok ())
+  | Ok () -> validate_observers ~path t.observers machine
 
 let restore ~path t machine =
   match validate ~path t machine with
@@ -252,13 +261,7 @@ let restore ~path t machine =
              Cache.restore (Machine.cache machine) t.cache
            with Invalid_argument msg ->
              E.fail (E.Checkpoint_corrupt { path; reason = msg }));
-          (match (t.counters, Machine.counters machine) with
-          | Some (accesses, misses), Some c -> Counters.load c ~accesses ~misses
-          | None, Some c -> Counters.reset c
-          | _, None -> ());
-          match (t.tracer, Machine.tracer machine) with
-          | Some (clock, dropped), Some tr -> Tracer.restore tr ~clock ~dropped
-          | _, _ -> ())
+          restore_observers t.observers machine)
 
 let load_into ?metrics ~path machine =
   match load ?metrics ~path () with

@@ -17,6 +17,14 @@
     to a different graph, cache configuration or capacity vector is
     rejected with [Checkpoint_mismatch] naming the offending field. *)
 
+type observers = {
+  counters : (int array * int array) option;
+      (** Per-entity (accesses, misses), when counters were attached. *)
+  tracer : (int * int) option;
+      (** Tracer (logical clock, dropped events), when a tracer was
+          attached. *)
+}
+
 type t = {
   graph_digest : string;  (** Hex MD5 of the graph's canonical text form. *)
   plan_name : string;
@@ -25,11 +33,7 @@ type t = {
   capacities : int array;
   machine : Machine.persisted;
   cache : Ccs_cache.Cache.persisted;
-  counters : (int array * int array) option;
-      (** Per-entity (accesses, misses), when counters were attached. *)
-  tracer : (int * int) option;
-      (** Tracer (logical clock, dropped events), when a tracer was
-          attached. *)
+  observers : observers;
 }
 
 val magic : string
@@ -71,3 +75,31 @@ val load_into :
   Machine.t ->
   (t, Ccs_sdf.Error.t) result
 (** [load] followed by [restore]; returns the checkpoint (for its epoch). *)
+
+(** {2 Payload codecs}
+
+    The pieces {!save} writes, shared with the multiprocessor session
+    snapshot ({!Ccs_multi.Multi_machine.save_session}).  Decoders raise
+    [Checkpoint_corrupt] on malformed bytes. *)
+
+val encode_machine : Ccs_sdf.Binio.W.t -> Machine.persisted -> unit
+val decode_machine : Ccs_sdf.Binio.R.t -> Machine.persisted
+val encode_cache : Ccs_sdf.Binio.W.t -> Ccs_cache.Cache.persisted -> unit
+
+val decode_cache :
+  path:string -> Ccs_sdf.Binio.R.t -> Ccs_cache.Cache.persisted
+
+val observers_of : Machine.t -> observers
+(** The machine's attached counters and tracer clock. *)
+
+val encode_observers : Ccs_sdf.Binio.W.t -> observers -> unit
+val decode_observers : Ccs_sdf.Binio.R.t -> observers
+
+val validate_observers :
+  path:string -> observers -> Machine.t -> (unit, Ccs_sdf.Error.t) result
+(** The counter-arity check of {!validate}. *)
+
+val restore_observers : observers -> Machine.t -> unit
+(** The observer half of {!restore}: load the saved counters (or reset the
+    machine's when none were saved) and the tracer clock.  Call after
+    {!validate_observers}. *)

@@ -34,7 +34,7 @@ type mstats = {
 
 type t = {
   graph : Graph.t;
-  cache : Cache.t;
+  mutable cache : Cache.t; (* swapped only by [set_cache] *)
   states : Layout.region array;
   chans : chan array;
   (* Firing-loop specialization: per-node edge ids and per-edge rates as
@@ -445,6 +445,11 @@ let fire_budget t = t.fire_budget
    starts cold, which is the honest cost of moving state to a new layout. *)
 
 let resize_cache t cfg = Cache.resize t.cache cfg
+
+let set_cache t cache =
+  if Cache.block_words cache <> Cache.block_words t.cache then
+    invalid_arg "Machine.set_cache: block size differs from the layout's";
+  t.cache <- cache
 
 let migrate ~src dst =
   let n = Array.length src.chans in

@@ -203,6 +203,12 @@ val resize_cache : t -> Ccs_cache.Cache.config -> unit
     hottest-first rule.  Regions, cursors and firing state are untouched.
     @raise Invalid_argument if the block size differs. *)
 
+val set_cache : t -> Ccs_cache.Cache.t -> unit
+(** Route every later access through [cache]; regions, cursors and firing
+    state are untouched.  {!Ccs_multi.Multi_machine} switches one machine
+    between private caches this way, before each firing.
+    @raise Invalid_argument if the block size differs. *)
+
 val migrate : src:t -> t -> unit
 (** [migrate ~src dst] transplants [src]'s execution state onto [dst], a
     machine built from the same graph (same node/channel counts) but

@@ -58,28 +58,32 @@ let policy_of_tag ~path tag ways =
         (E.Checkpoint_corrupt
            { path; reason = Printf.sprintf "unknown cache policy tag %d" tag })
 
-let encode w t =
-  Binio.W.string w t.graph_digest;
-  Binio.W.int w t.cache_config.Cache.size_words;
-  Binio.W.int w t.cache_config.Cache.block_words;
-  let tag, ways = policy_tag t.cache_config.Cache.policy in
+let encode_cache_config w c =
+  Binio.W.int w c.Cache.size_words;
+  Binio.W.int w c.Cache.block_words;
+  let tag, ways = policy_tag c.Cache.policy in
   Binio.W.int w tag;
-  Binio.W.int w ways;
-  Binio.W.int_array w t.capacities;
-  Binio.W.int w t.planner_version
+  Binio.W.int w ways
 
-let decode ~path r =
-  let graph_digest = Binio.R.string r in
+let decode_cache_config ~path r =
   let size_words = Binio.R.int r in
   let block_words = Binio.R.int r in
   let tag = Binio.R.int r in
   let ways = Binio.R.int r in
   let policy = policy_of_tag ~path tag ways in
-  let cache_config =
-    try Cache.config ~policy ~size_words ~block_words ()
-    with Invalid_argument msg ->
-      E.fail (E.Checkpoint_corrupt { path; reason = msg })
-  in
+  try Cache.config ~policy ~size_words ~block_words ()
+  with Invalid_argument msg ->
+    E.fail (E.Checkpoint_corrupt { path; reason = msg })
+
+let encode w t =
+  Binio.W.string w t.graph_digest;
+  encode_cache_config w t.cache_config;
+  Binio.W.int_array w t.capacities;
+  Binio.W.int w t.planner_version
+
+let decode ~path r =
+  let graph_digest = Binio.R.string r in
+  let cache_config = decode_cache_config ~path r in
   let capacities = Binio.R.int_array r in
   let planner_version = Binio.R.int r in
   { graph_digest; cache_config; capacities; planner_version }

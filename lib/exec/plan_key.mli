@@ -67,8 +67,15 @@ val pp_cache_config : Ccs_cache.Cache.config -> string
 (** ["2048w/16b/lru"]-style rendering, shared with checkpoint errors. *)
 
 val policy_tag : Ccs_cache.Cache.policy -> int * int
-val policy_of_tag : path:string -> int -> int -> Ccs_cache.Cache.policy
-(** Wire helpers for the replacement policy, shared with the checkpoint
-    format; [policy_of_tag] raises [Checkpoint_corrupt] on unknown tags. *)
+(** A replacement policy as a (tag, ways) pair of ints. *)
+
+val encode_cache_config : Ccs_sdf.Binio.W.t -> Ccs_cache.Cache.config -> unit
+
+val decode_cache_config :
+  path:string -> Ccs_sdf.Binio.R.t -> Ccs_cache.Cache.config
+(** Wire form of a cache configuration (size, block, policy tag, ways),
+    shared with the checkpoint format; [decode_cache_config] raises
+    [Checkpoint_corrupt] on an unknown policy tag or an impossible
+    geometry. *)
 
 val to_string : t -> string

@@ -1,12 +1,11 @@
 module Graph = Ccs_sdf.Graph
-module Rates = Ccs_sdf.Rates
 module E = Ccs_sdf.Error
 module Binio = Ccs_sdf.Binio
 module Spec = Ccs_partition.Spec
 module Cache = Ccs_cache.Cache
-module Layout = Ccs_cache.Layout
-module Counters = Ccs_obs.Counters
-module Tracer = Ccs_obs.Tracer
+module Machine = Ccs_exec.Machine
+module Checkpoint = Ccs_exec.Checkpoint
+module Plan_key = Ccs_exec.Plan_key
 module Metrics = Ccs_obs.Metrics
 
 type config = {
@@ -26,29 +25,21 @@ type result = {
   inputs : int;
 }
 
-type chan = {
-  region : Layout.region;
-  mutable head : int;
-  mutable tail : int;
-}
-
+(* [parallel] carries the observers and is switched to the firing module's
+   processor cache before every firing; [shadow], the unobserved
+   uniprocessor baseline, fires in lockstep on the same plan, so the two
+   share execution state (firing counts, channel cursors) at all times. *)
 type session = {
-  graph : Graph.t;
   cfg : config;
   plan_name : string;
   period : Ccs_sched.Schedule.t;
-  capacities : int array;
-  chans : chan array;
-  caches : Cache.t array;
-  uni_cache : Cache.t;
-  work : float array;
-  mutable uni_work : float;
-  mutable inputs : int;
-  mutable batches_done : int;
-  counters : Counters.t option;
-  tracer : Tracer.t option;
+  parallel : Machine.t;
+  shadow : Machine.t;
+  caches : Cache.t array; (* per processor *)
+  proc_of_node : int array;
+  source : Graph.node;
   metrics : Metrics.t option;
-  fire : Graph.node -> unit;
+  mutable batches_done : int;
 }
 
 let create_session ?counters ?tracer ?metrics g _a spec assign ~plan cfg =
@@ -71,149 +62,44 @@ let create_session ?counters ?tracer ?metrics g _a spec assign ~plan cfg =
              })
   in
   let capacities = plan.Ccs_sched.Plan.capacities in
-  let n = Graph.num_nodes g in
-  let m = Graph.num_edges g in
-  (match counters with
-  | Some c when Counters.entities c <> n + m ->
-      invalid_arg
-        (Printf.sprintf
-           "Multi_machine.run_plan: counters sized for %d entities, need %d"
-           (Counters.entities c) (n + m))
-  | _ -> ());
-  (* Shared address space, same layout discipline as Machine. *)
-  let block = cfg.cache.Cache.block_words in
-  let layout = Layout.create ~align:block () in
-  let states =
-    Array.init n (fun v -> Layout.alloc layout ~len:(Graph.state g v))
+  let parallel =
+    Machine.create ?counters ?tracer ~graph:g ~cache:cfg.cache ~capacities ()
   in
-  let chans =
-    Array.init m (fun e ->
-        {
-          region = Layout.alloc ~align:1 layout ~len:capacities.(e);
-          head = 0;
-          tail = Graph.delay g e;
-        })
-  in
-  let caches = Array.init cfg.processors (fun _ -> Cache.create cfg.cache) in
-  let uni_cache = Cache.create cfg.cache in
-  let work = Array.make cfg.processors 0. in
-  let proc_of_node v =
-    assign.Assign.processor_of_component.(Spec.component_of spec v)
-  in
-  (* Attribution covers the parallel run (the per-processor caches); the
-     uniprocessor shadow run is the speedup baseline and stays
-     unobserved. *)
-  let touch_observed cache owner blk =
-    match tracer with
-    | None ->
-        let hit = Cache.touch_block cache blk in
-        (match counters with
-        | Some c -> Counters.record c owner ~hit
-        | None -> ())
-    | Some tr ->
-        let hit, victim = Cache.touch_block_traced cache blk in
-        (match counters with
-        | Some c -> Counters.record c owner ~hit
-        | None -> ());
-        Tracer.advance tr 1;
-        if not hit then begin
-          Tracer.load tr ~owner ~block:blk;
-          if victim >= 0 then Tracer.evict tr ~owner ~block:victim
-        end
-  in
-  let touch_span ?owner cache addr len =
-    if len > 0 then begin
-      let first = addr / block and last = (addr + len - 1) / block in
-      match owner with
-      | None ->
-          for blk = first to last do
-            ignore (Cache.touch_block cache blk)
-          done
-      | Some o ->
-          for blk = first to last do
-            touch_observed cache o blk
-          done
-    end
-  in
-  let touch_ring ?owner cache (region : Layout.region) pos k =
-    if k > 0 then begin
-      let len = region.Layout.length in
-      let start = pos mod len in
-      if start + k <= len then
-        touch_span ?owner cache (region.Layout.base + start) k
-      else begin
-        touch_span ?owner cache (region.Layout.base + start) (len - start);
-        touch_span ?owner cache region.Layout.base (k - (len - start))
-      end
-    end
-  in
-  let source = Graph.source g in
-  let rec session =
-    {
-      graph = g;
-      cfg;
-      plan_name = plan.Ccs_sched.Plan.name;
-      period;
-      capacities;
-      chans;
-      caches;
-      uni_cache;
-      work;
-      uni_work = 0.;
-      inputs = 0;
-      batches_done = 0;
-      counters;
-      tracer;
-      metrics;
-      fire = (fun v -> fire v);
-    }
-  and fire v =
-    let p = proc_of_node v in
-    let cache = caches.(p) in
-    let fire_ev =
-      match tracer with Some tr -> Tracer.begin_fire tr ~node:v | None -> -1
-    in
-    let words = ref 0 in
-    let st = states.(v) in
-    touch_span ~owner:v cache st.Layout.base st.Layout.length;
-    touch_span uni_cache st.Layout.base st.Layout.length;
-    words := !words + st.Layout.length;
-    List.iter
-      (fun e ->
-        let c = chans.(e) in
-        let k = Graph.pop g e in
-        touch_ring ~owner:(n + e) cache c.region c.head k;
-        touch_ring uni_cache c.region c.head k;
-        c.head <- c.head + k;
-        words := !words + k)
-      (Graph.in_edges g v);
-    List.iter
-      (fun e ->
-        let c = chans.(e) in
-        let k = Graph.push g e in
-        touch_ring ~owner:(n + e) cache c.region c.tail k;
-        touch_ring uni_cache c.region c.tail k;
-        c.tail <- c.tail + k;
-        words := !words + k)
-      (Graph.out_edges g v);
-    work.(p) <- work.(p) +. float_of_int !words;
-    session.uni_work <- session.uni_work +. float_of_int !words;
-    (match tracer with Some tr -> Tracer.end_fire tr fire_ev | None -> ());
-    if v = source then session.inputs <- session.inputs + 1
-  in
-  session
+  {
+    cfg;
+    plan_name = plan.Ccs_sched.Plan.name;
+    period;
+    parallel;
+    shadow = Machine.create ~graph:g ~cache:cfg.cache ~capacities ();
+    caches =
+      Array.init cfg.processors (fun p ->
+          if p = 0 then Machine.cache parallel else Cache.create cfg.cache);
+    proc_of_node =
+      Array.init (Graph.num_nodes g) (fun v ->
+          assign.Assign.processor_of_component.(Spec.component_of spec v));
+    source = Graph.source g;
+    metrics;
+    batches_done = 0;
+  }
+
+let fire session v =
+  Machine.set_cache session.parallel
+    session.caches.(session.proc_of_node.(v));
+  Machine.fire session.parallel v;
+  Machine.fire session.shadow v
 
 let run_batches session k =
   for _ = 1 to k do
-    Ccs_sched.Schedule.iter session.period ~f:session.fire
+    Ccs_sched.Schedule.iter session.period ~f:(fire session)
   done;
   session.batches_done <- session.batches_done + k
 
 let batches_done session = session.batches_done
+let inputs session = Machine.fires session.parallel session.source
 
 (* Pull-model sync: one labeled gauge set per processor cache, refreshed at
-   measurement points only — the per-firing touch loops above carry no
-   metrics code, so attaching a registry cannot perturb replacement. *)
+   measurement points only — the parallel machine carries no registry, so
+   attaching one cannot perturb replacement. *)
 let sync_metrics session =
   match session.metrics with
   | None -> ()
@@ -224,7 +110,7 @@ let sync_metrics session =
         session.batches_done;
       Metrics.set
         (Metrics.gauge reg ~help:"Source firings executed" "ccs_multi_inputs")
-        session.inputs;
+        (inputs session);
       Array.iteri
         (fun p cache ->
           let labels = [ ("proc", string_of_int p) ] in
@@ -243,202 +129,126 @@ let sync_metrics session =
             (Cache.evictions cache))
         session.caches
 
+(* Words a firing of [v] touches: its whole state, then every token it
+   pops and pushes, hit or miss. *)
+let words_per_fire g v =
+  let sum rate edges = List.fold_left (fun acc e -> acc + rate g e) 0 edges in
+  Graph.state g v
+  + sum Graph.pop (Graph.in_edges g v)
+  + sum Graph.push (Graph.out_edges g v)
+
 let result session =
   sync_metrics session;
+  let g = Machine.graph session.parallel in
+  (* Integer sums, so the float work figures are exact below 2^53. *)
+  let work = Array.make session.cfg.processors 0 in
+  Array.iteri
+    (fun v p ->
+      work.(p) <-
+        work.(p) + (Machine.fires session.parallel v * words_per_fire g v))
+    session.proc_of_node;
+  let inputs = inputs session in
+  let per_input x = x /. float_of_int (max 1 inputs) in
+  let cost w misses =
+    per_input
+      (float_of_int w +. (session.cfg.miss_penalty *. float_of_int misses))
+  in
   let per_processor_misses = Array.map Cache.misses session.caches in
-  let per_input x = x /. float_of_int (max 1 session.inputs) in
   let per_processor_time =
-    Array.mapi
-      (fun p w ->
-        per_input
-          (w
-          +. session.cfg.miss_penalty
-             *. float_of_int per_processor_misses.(p)))
-      session.work
+    Array.mapi (fun p w -> cost w per_processor_misses.(p)) work
   in
   let makespan = Array.fold_left Float.max 0. per_processor_time in
   let uniprocessor_time =
-    per_input
-      (session.uni_work
-      +. session.cfg.miss_penalty
-         *. float_of_int (Cache.misses session.uni_cache))
+    cost (Array.fold_left ( + ) 0 work) (Machine.misses session.shadow)
   in
   {
     per_processor_misses;
-    per_processor_work = Array.map per_input session.work;
+    per_processor_work = Array.map (fun w -> per_input (float_of_int w)) work;
     per_processor_time;
     makespan;
     uniprocessor_time;
     speedup = (if makespan = 0. then 1. else uniprocessor_time /. makespan);
     total_misses = Array.fold_left ( + ) 0 per_processor_misses;
-    inputs = session.inputs;
+    inputs;
   }
 
-(* --- session snapshots ----------------------------------------------------- *)
+(* --- session snapshots -----------------------------------------------------
+
+   Payload: the session's identity as named strings, the batch count, the
+   shared execution state, the P private caches then the shadow cache, and
+   the parallel run's observers — all but the identity written with
+   {!Checkpoint}'s codecs. *)
 
 let magic = "CCSMSNAP"
-let version = 1
+let version = 2
 
-let graph_digest g = Digest.to_hex (Digest.string (Ccs_sdf.Serial.to_text g))
+let identity session =
+  let g = Machine.graph session.parallel in
+  let c = session.cfg.cache in
+  let tag, ways = Plan_key.policy_tag c.Cache.policy in
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  [
+    ("graph", Plan_key.graph_digest g);
+    ("plan", session.plan_name);
+    ("processors", string_of_int session.cfg.processors);
+    ("miss_penalty", Printf.sprintf "%.17g" session.cfg.miss_penalty);
+    ("cache.size_words", string_of_int c.Cache.size_words);
+    ("cache.block_words", string_of_int c.Cache.block_words);
+    ("cache.policy", string_of_int tag);
+    ("cache.ways", string_of_int ways);
+    ( "capacities",
+      ints (Array.init (Graph.num_edges g) (Machine.capacity session.parallel))
+    );
+    ("channels", string_of_int (Graph.num_edges g));
+    ("caches", string_of_int (session.cfg.processors + 1));
+  ]
 
-let policy_tag = function
-  | Cache.Lru -> (0, 0)
-  | Cache.Set_associative ways -> (1, ways)
-  | Cache.Direct_mapped -> (2, 0)
-
-let encode_cache w (p : Cache.persisted) =
-  Binio.W.int w p.Cache.p_accesses;
-  Binio.W.int w p.Cache.p_hits;
-  Binio.W.int w p.Cache.p_misses;
-  Binio.W.int w p.Cache.p_flushes;
-  Binio.W.int w (Array.length p.Cache.p_sets);
-  Array.iter (Binio.W.int_array w) p.Cache.p_sets
-
-let decode_cache ~path r =
-  let p_accesses = Binio.R.int r in
-  let p_hits = Binio.R.int r in
-  let p_misses = Binio.R.int r in
-  let p_flushes = Binio.R.int r in
-  let num_sets = Binio.R.int r in
-  if num_sets < 0 || num_sets > 1 lsl 30 then
-    E.fail
-      (E.Checkpoint_corrupt
-         { path; reason = Printf.sprintf "implausible set count %d" num_sets });
-  let p_sets = Array.init num_sets (fun _ -> Binio.R.int_array r) in
-  { Cache.p_accesses; p_hits; p_misses; p_flushes; p_sets }
+let all_caches session =
+  Array.append session.caches [| Machine.cache session.shadow |]
 
 let save_session ~path session =
   let w = Binio.W.create () in
-  Binio.W.string w (graph_digest session.graph);
-  Binio.W.string w session.plan_name;
-  Binio.W.int w session.cfg.processors;
-  Binio.W.float w session.cfg.miss_penalty;
-  Binio.W.int w session.cfg.cache.Cache.size_words;
-  Binio.W.int w session.cfg.cache.Cache.block_words;
-  let tag, ways = policy_tag session.cfg.cache.Cache.policy in
-  Binio.W.int w tag;
-  Binio.W.int w ways;
-  Binio.W.int_array w session.capacities;
+  List.iter (fun (_, v) -> Binio.W.string w v) (identity session);
   Binio.W.int w session.batches_done;
-  Binio.W.int w session.inputs;
-  Binio.W.float w session.uni_work;
-  Binio.W.float_array w session.work;
-  Binio.W.int_array w (Array.map (fun c -> c.head) session.chans);
-  Binio.W.int_array w (Array.map (fun c -> c.tail) session.chans);
-  Binio.W.int w (Array.length session.caches);
-  Array.iter (fun c -> encode_cache w (Cache.persist c)) session.caches;
-  encode_cache w (Cache.persist session.uni_cache);
-  (match session.counters with
-  | None -> Binio.W.int w 0
-  | Some c ->
-      let accesses, misses = Counters.dump c in
-      Binio.W.int w 1;
-      Binio.W.int_array w accesses;
-      Binio.W.int_array w misses);
-  (match session.tracer with
-  | None -> Binio.W.int w 0
-  | Some tr ->
-      Binio.W.int w 1;
-      Binio.W.int w (Tracer.clock tr);
-      Binio.W.int w (Tracer.dropped tr));
+  Checkpoint.encode_machine w (Machine.persist session.parallel);
+  Array.iter
+    (fun c -> Checkpoint.encode_cache w (Cache.persist c))
+    (all_caches session);
+  Checkpoint.encode_observers w (Checkpoint.observers_of session.parallel);
   Binio.write_file ~path ~magic ~version (Binio.W.contents w)
-
-let mismatch ~path ~field ~expected ~found =
-  E.fail (E.Checkpoint_mismatch { path; field; expected; found })
-
-let check ~path ~field ~expected ~found pp =
-  if expected <> found then
-    mismatch ~path ~field ~expected:(pp expected) ~found:(pp found)
 
 let load_session ~path session =
   match Binio.read_file ~path ~magic ~version () with
   | Error e -> Error e
   | Ok payload ->
       E.protect (fun () ->
+          (* Decode and check everything before the session changes. *)
           let r = Binio.R.of_string ~path payload in
-          check ~path ~field:"graph"
-            ~expected:(Binio.R.string r)
-            ~found:(graph_digest session.graph) Fun.id;
-          check ~path ~field:"plan"
-            ~expected:(Binio.R.string r)
-            ~found:session.plan_name Fun.id;
-          check ~path ~field:"processors" ~expected:(Binio.R.int r)
-            ~found:session.cfg.processors string_of_int;
-          check ~path ~field:"miss_penalty" ~expected:(Binio.R.float r)
-            ~found:session.cfg.miss_penalty string_of_float;
-          check ~path ~field:"cache.size_words" ~expected:(Binio.R.int r)
-            ~found:session.cfg.cache.Cache.size_words string_of_int;
-          check ~path ~field:"cache.block_words" ~expected:(Binio.R.int r)
-            ~found:session.cfg.cache.Cache.block_words string_of_int;
-          let tag, ways = policy_tag session.cfg.cache.Cache.policy in
-          check ~path ~field:"cache.policy" ~expected:(Binio.R.int r)
-            ~found:tag string_of_int;
-          check ~path ~field:"cache.ways" ~expected:(Binio.R.int r) ~found:ways
-            string_of_int;
-          let capacities = Binio.R.int_array r in
-          if capacities <> session.capacities then
-            mismatch ~path ~field:"capacities"
-              ~expected:
-                (String.concat ","
-                   (Array.to_list (Array.map string_of_int capacities)))
-              ~found:
-                (String.concat ","
-                   (Array.to_list (Array.map string_of_int session.capacities)));
-          session.batches_done <- Binio.R.int r;
-          session.inputs <- Binio.R.int r;
-          session.uni_work <- Binio.R.float r;
-          let work = Binio.R.float_array r in
-          if Array.length work <> Array.length session.work then
-            mismatch ~path ~field:"work"
-              ~expected:(string_of_int (Array.length work))
-              ~found:(string_of_int (Array.length session.work));
-          Array.blit work 0 session.work 0 (Array.length work);
-          let heads = Binio.R.int_array r in
-          let tails = Binio.R.int_array r in
-          if
-            Array.length heads <> Array.length session.chans
-            || Array.length tails <> Array.length session.chans
-          then
-            mismatch ~path ~field:"channels"
-              ~expected:(string_of_int (Array.length heads))
-              ~found:(string_of_int (Array.length session.chans));
-          Array.iteri
-            (fun e c ->
-              c.head <- heads.(e);
-              c.tail <- tails.(e))
-            session.chans;
-          let num_caches = Binio.R.int r in
-          if num_caches <> Array.length session.caches then
-            mismatch ~path ~field:"caches"
-              ~expected:(string_of_int num_caches)
-              ~found:(string_of_int (Array.length session.caches));
-          let restore_cache cache =
-            let p = decode_cache ~path r in
-            try Cache.restore cache p
-            with Invalid_argument msg ->
-              E.fail (E.Checkpoint_corrupt { path; reason = msg })
+          List.iter
+            (fun (field, found) ->
+              let expected = Binio.R.string r in
+              if expected <> found then
+                E.fail (E.Checkpoint_mismatch { path; field; expected; found }))
+            (identity session);
+          let batches_done = Binio.R.int r in
+          let machine = Checkpoint.decode_machine r in
+          let caches =
+            Array.map
+              (fun _ -> Checkpoint.decode_cache ~path r)
+              (all_caches session)
           in
-          Array.iter restore_cache session.caches;
-          restore_cache session.uni_cache;
-          (match (Binio.R.int r, session.counters) with
-          | 0, Some c -> Counters.reset c
-          | 0, None -> ()
-          | _, c ->
-              let accesses = Binio.R.int_array r in
-              let misses = Binio.R.int_array r in
-              Option.iter
-                (fun c ->
-                  try Counters.load c ~accesses ~misses
-                  with Invalid_argument msg ->
-                    E.fail (E.Checkpoint_corrupt { path; reason = msg }))
-                c);
-          (match (Binio.R.int r, session.tracer) with
-          | 0, _ -> ()
-          | _, tr ->
-              let clock = Binio.R.int r in
-              let dropped = Binio.R.int r in
-              Option.iter (fun tr -> Tracer.restore tr ~clock ~dropped) tr);
-          Binio.R.expect_end r)
+          let observers = Checkpoint.decode_observers r in
+          Binio.R.expect_end r;
+          Result.iter_error E.fail
+            (Checkpoint.validate_observers ~path observers session.parallel);
+          (try
+             Machine.restore session.parallel machine;
+             Machine.restore session.shadow machine;
+             Array.iter2 Cache.restore (all_caches session) caches
+           with Invalid_argument msg ->
+             E.fail (E.Checkpoint_corrupt { path; reason = msg }));
+          Checkpoint.restore_observers observers session.parallel;
+          session.batches_done <- batches_done)
 
 (* --- one-shot wrappers ----------------------------------------------------- *)
 

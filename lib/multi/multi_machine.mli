@@ -18,7 +18,12 @@
     makespan.  This is a throughput model of software pipelining across
     batches: different processors work on different batches concurrently,
     so per-batch loads, not precedence within one batch, bound steady-state
-    throughput. *)
+    throughput.
+
+    The parallel run is one {!Ccs_exec.Machine} whose cache is switched
+    to the firing module's processor before each firing; the uniprocessor
+    baseline is a second machine fired in lockstep.  Layout, touch order
+    and firing rules are exactly the uniprocessor simulator's. *)
 
 type config = {
   processors : int;
@@ -41,8 +46,8 @@ type result = {
 }
 
 type session
-(** An in-flight multiprocessor run: the shared layout, per-processor
-    caches, channel cursors and work accounting.  Sessions decouple
+(** An in-flight multiprocessor run: the parallel and shadow machines and
+    the per-processor caches.  Sessions decouple
     construction from execution so a run can be advanced in batch
     increments, snapshotted with {!save_session}, and resumed with
     {!load_session} — the multiprocessor counterpart of
@@ -81,10 +86,11 @@ val result : session -> result
     attached registry, as {!sync_metrics}). *)
 
 val save_session : path:string -> session -> unit
-(** Snapshot the session's complete mutable state — channel cursors, every
-    private cache's recency order and statistics, the uniprocessor shadow
-    cache, work accounting, and attached counters/tracer — to a framed,
-    checksummed file (magic ["CCSMSNAP"]), atomically.
+(** Snapshot the session's complete mutable state — the shared machine
+    state ({!Ccs_exec.Machine.persisted}), every private cache's recency
+    order and statistics, the uniprocessor shadow cache, and attached
+    counters/tracer — to a framed, checksummed file (magic ["CCSMSNAP"],
+    version 2), atomically, with {!Ccs_exec.Checkpoint}'s codecs.
     @raise Sys_error on I/O failure. *)
 
 val load_session :
@@ -92,8 +98,12 @@ val load_session :
 (** Restore a {!save_session} snapshot into a freshly created session of
     the {e same} graph, plan, configuration and capacities; afterwards
     {!run_batches} continues bit-identically to the run that was saved.
+    The whole file is decoded and checked before the session changes.
     Errors: [Io], [Checkpoint_corrupt], [Checkpoint_version], and
-    [Checkpoint_mismatch] when the snapshot belongs to a different setup. *)
+    [Checkpoint_mismatch] when the snapshot belongs to a different setup,
+    naming the field: [graph], [plan], [processors], [miss_penalty],
+    [cache.size_words], [cache.block_words], [cache.policy], [cache.ways],
+    [capacities], [channels], [caches] or [counters]. *)
 
 val run :
   ?counters:Ccs_obs.Counters.t ->

@@ -197,6 +197,60 @@ let test_multi_observers_leave_result_unchanged () =
   Alcotest.(check (float 1e-9)) "same makespan"
     plain.Ccs.Multi_machine.makespan observed.Ccs.Multi_machine.makespan
 
+(* --- differential: the placement simulator against a plain machine ------- *)
+
+(* With one processor the parallel run is an ordinary machine replaying the
+   period, and with more the uniprocessor shadow still is; pin both over
+   every suite app, so a change to either simulator that moves a miss
+   shows up here. *)
+let test_differential_against_machine (entry : Ccs_apps.Suite.entry) m () =
+  let g = entry.Ccs_apps.Suite.graph () in
+  let a = R.analyze_exn g in
+  let config = Ccs.Config.make ~cache_words:m ~block_words:16 () in
+  let cache = Ccs.Config.cache_config config in
+  let spec = Ccs.Auto.partition g a config in
+  let plan =
+    Ccs.Partitioned.batch g a spec ~t:(R.granularity g a ~at_least:m)
+  in
+  let batches = 2 in
+  let run processors =
+    let assign = Ccs.Assign.lpt g a spec ~processors in
+    Ccs.Multi_machine.run_plan g a spec assign ~plan ~batches
+      { Ccs.Multi_machine.processors; cache; miss_penalty = 32. }
+  in
+  let r1 = run 1 in
+  let machine =
+    Ccs.Machine.create ~graph:g ~cache ~capacities:plan.Ccs.Plan.capacities ()
+  in
+  for _ = 1 to batches do
+    Ccs.Schedule.run machine (Option.get plan.Ccs.Plan.period)
+  done;
+  Alcotest.(check int) "P=1 misses = machine" (Ccs.Machine.misses machine)
+    r1.Ccs.Multi_machine.per_processor_misses.(0);
+  Alcotest.(check int) "P=1 inputs = machine"
+    (Ccs.Machine.source_inputs machine)
+    r1.Ccs.Multi_machine.inputs;
+  List.iter
+    (fun processors ->
+      let r = run processors in
+      Alcotest.(check int64)
+        (Printf.sprintf "P=%d uniprocessor time = P=1 makespan" processors)
+        (Int64.bits_of_float r1.Ccs.Multi_machine.makespan)
+        (Int64.bits_of_float r.Ccs.Multi_machine.uniprocessor_time))
+    [ 2; 4 ]
+
+let differential_cases =
+  List.concat_map
+    (fun entry ->
+      List.map
+        (fun m ->
+          Alcotest.test_case
+            (Printf.sprintf "%s M=%d" entry.Ccs_apps.Suite.name m)
+            `Quick
+            (test_differential_against_machine entry m))
+        [ 256; 2048 ])
+    Ccs_apps.Suite.all
+
 (* --- session save/load ------------------------------------------------------ *)
 
 let session_setup ~processors =
@@ -282,6 +336,32 @@ let test_session_load_mismatch_rejected () =
       Alcotest.fail ("expected Checkpoint_mismatch, got " ^ Ccs.Error.to_string e));
   Sys.remove path
 
+let test_session_load_other_graph_rejected () =
+  let g, a, spec, assign, plan, cfg = session_setup ~processors:2 in
+  let s1 = Ccs.Multi_machine.create_session g a spec assign ~plan cfg in
+  Ccs.Multi_machine.run_batches s1 1;
+  let path = temp_snap () in
+  Ccs.Multi_machine.save_session ~path s1;
+  (* Same shape and processor count, different module state: a different
+     graph, which the snapshot must not be loaded into. *)
+  let g2 = Ccs.Generators.uniform_pipeline ~n:16 ~state:32 () in
+  let a2 = R.analyze_exn g2 in
+  let spec2 = Ccs.Pipeline_partition.optimal_dp g2 a2 ~bound:128 in
+  let assign2 = Ccs.Assign.lpt g2 a2 spec2 ~processors:2 in
+  let plan2 =
+    Ccs.Partitioned.batch g2 a2 spec2 ~t:(R.granularity g2 a2 ~at_least:256)
+  in
+  let s2 =
+    Ccs.Multi_machine.create_session g2 a2 spec2 assign2 ~plan:plan2 cfg
+  in
+  (match Ccs.Multi_machine.load_session ~path s2 with
+  | Ok () -> Alcotest.fail "snapshot of another graph accepted"
+  | Error (Ccs.Error.Checkpoint_mismatch { field; _ }) ->
+      Alcotest.(check string) "field" "graph" field
+  | Error e ->
+      Alcotest.fail ("expected Checkpoint_mismatch, got " ^ Ccs.Error.to_string e));
+  Sys.remove path
+
 let test_session_restores_observers () =
   let g, a, spec, assign, plan, cfg = session_setup ~processors:2 in
   let entities = G.num_nodes g + G.num_edges g in
@@ -348,7 +428,10 @@ let () =
             test_session_save_load_bit_identical;
           Alcotest.test_case "mismatch rejected" `Quick
             test_session_load_mismatch_rejected;
+          Alcotest.test_case "other graph rejected" `Quick
+            test_session_load_other_graph_rejected;
           Alcotest.test_case "observers restored" `Quick
             test_session_restores_observers;
         ] );
+      ("differential", differential_cases);
     ]
