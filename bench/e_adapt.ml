@@ -45,19 +45,25 @@ let chaos () =
       };
     ]
 
-(* One arm: an Adapt.run with a data-carrying engine over the compiled
+(* One arm: a supervised run with a data-carrying engine over the compiled
    backend's semantics attached to every machine the loop creates (the
-   initial one and every migration target). *)
+   initial one and every migration target).  [adapt] arms run the planner's
+   plan with the adaptation ladder on; the others run the planner's plan
+   for [cache] as it is. *)
 let arm ?metrics ?env ~adapt ~planner g cache =
   let engine =
     Ccs.Engine.detached
       (Ccs.Program.create g (Ccs.Codegen.codegen_semantics g))
   in
+  let adapt =
+    if adapt then Some { Ccs.Adapt.policy = Ccs.Adapt.default_policy; planner }
+    else None
+  in
   match
-    Ccs.Adapt.run ?metrics ?env ~adapt
+    Ccs.Supervisor.run ?metrics ?env ?adapt
       ~epoch_outputs:(outputs / epochs)
       ~prepare:(Ccs.Engine.attach engine)
-      ~graph:g ~cache ~planner ~outputs ()
+      ~graph:g ~cache ~plan:(planner cache).Ccs.Adapt.plan ~outputs ()
   with
   | Ok report -> (report, engine)
   | Error e -> failwith (Ccs.Error.to_string e)
@@ -98,7 +104,7 @@ let e22 () =
         let scratch, _ =
           arm ~env:(chaos ()) ~adapt:false ~planner:scratch_planner g cache
         in
-        let misses r = r.Ccs.Adapt.result.Ccs.Runner.misses in
+        let misses r = r.Ccs.Supervisor.result.Ccs.Runner.misses in
         if misses adapted >= misses stale then incr regressions;
         let mism = Ccs.Engine.mismatches ~reference engine in
         let compared = Ccs.Engine.compared ~reference engine in
@@ -125,8 +131,9 @@ let e22 () =
               ("adapted_misses", Json.Int (misses adapted));
               ("scratch_misses", Json.Int (misses scratch));
               ("gap_milli", Json.Int gap_milli);
-              ("adaptations", Json.Int (List.length adapted.Ccs.Adapt.adaptations));
-              ("chaos_events", Json.Int adapted.Ccs.Adapt.chaos_events);
+              ( "adaptations",
+                Json.Int (List.length adapted.Ccs.Supervisor.adaptations) );
+              ("chaos_events", Json.Int adapted.Ccs.Supervisor.chaos_events);
               ("sink_values_compared", Json.Int compared);
               ("output_mismatches", Json.Int mism);
               ("deterministic", Json.Bool deterministic);
@@ -137,7 +144,7 @@ let e22 () =
           string_of_int (misses adapted);
           string_of_int (misses scratch);
           Printf.sprintf "%+.1f%%" (float_of_int gap_milli /. 10.);
-          string_of_int (List.length adapted.Ccs.Adapt.adaptations);
+          string_of_int (List.length adapted.Ccs.Supervisor.adaptations);
           string_of_int mism;
           (if deterministic then "yes" else "NO");
         ])

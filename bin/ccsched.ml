@@ -295,7 +295,21 @@ let run_cmd =
       kill_after metrics_file log_file chaos adapt =
     with_graph graph @@ fun g ->
     require_cache_config ~m ~b;
-    (* Parse the chaos spec before planning so a bad spec fails fast. *)
+    (* Reject bad flag combinations and chaos specs before planning. *)
+    let supervised = checkpoint <> None || chaos <> None || adapt in
+    if inject_seed <> None && supervised then
+      or_die
+        (Error
+           "--inject-seed runs the data-carrying engine, which has no \
+            checkpoint or chaos support; drop \
+            --checkpoint/--resume/--kill-after/--chaos/--adapt");
+    if (resume || kill_after <> None) && checkpoint = None then
+      or_die (Error "--resume and --kill-after require --checkpoint DIR");
+    if resume && adapt then
+      or_die
+        (Error
+           "--adapt runs keep their adaptation state in memory, not in the \
+            checkpoint; drop --resume");
     let env = Option.map Ccs.Fault.parse_env chaos in
     let cfg = Ccs.Config.make ~cache_words:m ~block_words:b () in
     let choice = Ccs.Auto.plan g cfg in
@@ -323,63 +337,37 @@ let run_cmd =
       | Some path, Some buf -> write_atomic ~path (Buffer.contents buf)
       | _ -> ()
     in
-    if chaos <> None || adapt then begin
-      (* Adverse-conditions run: a seeded chaos environment perturbs the
-         machine mid-run and (with --adapt) the adaptation loop answers
-         with graceful degradation and online repartitioning.  --chaos
-         alone is the "stale plan" arm: same perturbations, no response. *)
-      if inject_seed <> None then
-        or_die
-          (Error
-             "--chaos/--adapt drive the simulator machine, not the \
-              data-carrying engine; drop --inject-seed");
-      if resume || kill_after <> None then
-        or_die
-          (Error
-             "--chaos/--adapt run their own epoch loop; drop \
-              --resume/--kill-after (--checkpoint DIR and --interval still \
-              apply)");
-      Option.iter (Format.printf "chaos: %a@." Ccs.Fault.pp_env) env;
-      match
-        Ccs.Adapt.run ?env ~adapt ?checkpoint_dir:checkpoint
-          ~checkpoint_every:interval ?metrics ?log ~graph:g
-          ~cache:(Ccs.Config.cache_config cfg)
-          ~planner:(Ccs.Auto.adapt_planner g cfg)
-          ~outputs ()
-      with
-      | Error e ->
-          finish ();
-          or_die (Error (Ccs.Error.to_string e))
-      | Ok report ->
-          finish ();
-          Format.printf "%a@." Ccs.Adapt.pp_report report
-    end
-    else
-    match (inject_seed, checkpoint) with
-    | Some _, Some _ ->
-        or_die
-          (Error
-             "--inject-seed runs the data-carrying engine, which has no \
-              checkpoint support; drop --checkpoint/--resume/--kill-after")
-    | _, None when resume || kill_after <> None ->
-        or_die (Error "--resume and --kill-after require --checkpoint DIR")
-    | None, Some dir -> (
-        (* Supervised, crash-safe run: epoch-aligned execution with periodic
-           checkpoints; --resume restores the newest one.  --kill-after N
+    match inject_seed with
+    | None when supervised -> (
+        (* Supervised run: epoch-aligned execution with periodic
+           checkpoints under --checkpoint (--resume restores the newest
+           one), a seeded chaos environment under --chaos, and the
+           adaptation ladder under --adapt.  --chaos alone is the "stale
+           plan" arm: same perturbations, no response.  --kill-after N
            aborts the process right after epoch N's completion (and any
            checkpoint write), simulating a crash for the CI resume-smoke
            test. *)
-        let supervisor_config =
-          { Ccs.Supervisor.default_config with checkpoint_every = interval }
-        in
+        Option.iter (Format.printf "chaos: %a@." Ccs.Fault.pp_env) env;
         let on_epoch =
           Option.map
             (fun n ~epoch ~machine:_ -> if epoch >= n then exit 137)
             kill_after
         in
+        let adapt =
+          if adapt then
+            Some
+              {
+                Ccs.Adapt.policy = Ccs.Adapt.default_policy;
+                planner = Ccs.Auto.adapt_planner g cfg;
+              }
+          else None
+        in
         match
-          Ccs.Supervisor.run ~config:supervisor_config ~checkpoint_dir:dir
-            ~resume ?metrics ?log ?on_epoch ~graph:g
+          Ccs.Supervisor.run
+            ~config:
+              { Ccs.Supervisor.default_config with checkpoint_every = interval }
+            ?checkpoint_dir:checkpoint ~resume ?env ?adapt ?metrics ?log
+            ?on_epoch ~graph:g
             ~cache:(Ccs.Config.cache_config cfg)
             ~plan ~outputs ()
         with
@@ -389,7 +377,7 @@ let run_cmd =
         | Ok report ->
             finish ();
             Format.printf "%a@." Ccs.Supervisor.pp_report report)
-    | None, None ->
+    | None ->
         let result, machine =
           Ccs.Runner.run ?metrics ~graph:g
             ~cache:(Ccs.Config.cache_config cfg)
@@ -399,7 +387,7 @@ let run_cmd =
         Format.printf "%a@." Ccs.Runner.pp_result result;
         Format.printf "cache: %a@." Ccs.Cache.pp_stats
           (Ccs.Machine.cache machine)
-    | Some seed, None ->
+    | Some seed ->
         (* Fault drill: run real kernels with an injected fault plan; a
            triggered fault is contained and reported, with nonzero exit. *)
         let fault = Ccs.Fault.plan ~seed ~count:inject_count g in
@@ -428,9 +416,10 @@ let run_cmd =
       & info [ "metrics" ] ~docv:"FILE"
           ~doc:
             "Collect runtime metrics (firings, cache statistics, and — \
-             under --checkpoint — supervisor/checkpoint/watchdog series) \
-             and write a snapshot to $(docv) on completion: Prometheus \
-             text format if $(docv) ends in .prom, JSON otherwise.")
+             under --checkpoint, --chaos or --adapt — \
+             supervisor/checkpoint/watchdog/adaptation series) and write a \
+             snapshot to $(docv) on completion: Prometheus text format if \
+             $(docv) ends in .prom, JSON otherwise.")
   in
   let log_file =
     Arg.(
@@ -439,8 +428,9 @@ let run_cmd =
       & info [ "log" ] ~docv:"FILE"
           ~doc:
             "Write structured JSON-lines lifecycle events (epochs, \
-             checkpoints, retries, rollbacks) to $(docv); only the \
-             supervised --checkpoint path emits events.")
+             checkpoints, retries, rollbacks, chaos, adaptations) to \
+             $(docv).  Supervised runs (--checkpoint, --chaos or --adapt) \
+             emit events; a plain run and --inject-seed emit none.")
   in
   let inject_seed =
     Arg.(
@@ -464,7 +454,8 @@ let run_cmd =
       & info [ "checkpoint" ] ~docv:"DIR"
           ~doc:
             "Run under the crash-safe supervisor, writing checkpoints to \
-             $(docv) (created if missing).")
+             $(docv) (created if missing).  Combines with --chaos and \
+             --adapt.")
   in
   let resume =
     Arg.(
@@ -503,7 +494,9 @@ let run_cmd =
              multiplied by M for L epochs), $(b,iofault@E:L) (checkpoint \
              writes fail for L epochs), or $(b,rand@SEED:COUNT) for a \
              seeded random draw.  Without --adapt this is the stale-plan \
-             arm: perturbations land but the initial plan runs on.")
+             arm: perturbations land but the initial plan runs on; such a \
+             run can be killed and resumed under --checkpoint like any \
+             other.")
   in
   let adapt =
     Arg.(
@@ -513,7 +506,9 @@ let run_cmd =
             "Monitor measured misses-per-input against the plan's predicted \
              bound each epoch and respond to sustained degradation: first a \
              conservative fallback schedule (graceful degradation), then an \
-             online repartition with checkpointed state migration.")
+             online repartition with checkpointed state migration.  The \
+             adaptation state lives in memory, so --adapt does not combine \
+             with --resume.")
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Schedule with the partitioned scheduler and simulate.")

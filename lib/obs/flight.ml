@@ -4,34 +4,18 @@ module E = Ccs_sdf.Error
 let magic = "CCSFLGT1"
 let version = 1
 
-type t = {
-  spans : Span.t;
-  logs : string array;
-  log_cap : int;
-  mutable log_total : int;
-  mutable dumps : int;
-}
+type t = { spans : Span.t; logs : string Ring.t; mutable dumps : int }
 
 let create ?(span_capacity = 256) ?(log_capacity = 128) () =
-  let log_cap = max 1 log_capacity in
   {
     spans = Span.create ~capacity:span_capacity ();
-    logs = Array.make log_cap "";
-    log_cap;
-    log_total = 0;
+    logs = Ring.create ~capacity:log_capacity "";
     dumps = 0;
   }
 
 let spans t = t.spans
-
-let note_log t line =
-  t.logs.(t.log_total mod t.log_cap) <- line;
-  t.log_total <- t.log_total + 1
-
-let recent_logs t =
-  let n = min t.log_total t.log_cap in
-  let first = t.log_total - n in
-  List.init n (fun i -> t.logs.((first + i) mod t.log_cap))
+let note_log t line = Ring.push t.logs line
+let recent_logs t = Ring.to_list t.logs
 
 let dumps t = t.dumps
 

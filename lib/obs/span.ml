@@ -7,36 +7,22 @@ type span = {
   end_us : int;
 }
 
-(* Circular buffer in parallel arrays (same idiom as Tracer's packed
-   ring): slot = total mod capacity, so overwrite-oldest is one store
-   per field and iteration replays the window in arrival order. *)
-type t = {
-  cap : int;
-  trace_ids : string array;
-  span_ids : int array;
-  parents : int array;
-  stages : string array;
-  starts : int array;
-  ends : int array;
-  mutable total : int;
-  mutable next_id : int;
-}
+type t = { ring : span Ring.t; mutable next_id : int }
 
-let create ?(capacity = 256) () =
-  let cap = max 1 capacity in
+let empty =
   {
-    cap;
-    trace_ids = Array.make cap "";
-    span_ids = Array.make cap 0;
-    parents = Array.make cap (-1);
-    stages = Array.make cap "";
-    starts = Array.make cap 0;
-    ends = Array.make cap 0;
-    total = 0;
-    next_id = 0;
+    trace_id = "";
+    span_id = 0;
+    parent = -1;
+    stage = "";
+    start_us = 0;
+    end_us = 0;
   }
 
-let capacity t = t.cap
+let create ?(capacity = 256) () =
+  { ring = Ring.create ~capacity empty; next_id = 0 }
+
+let capacity t = Ring.capacity t.ring
 
 let fresh_id t =
   let id = t.next_id in
@@ -44,39 +30,11 @@ let fresh_id t =
   id
 
 let record t ~trace_id ~span_id ~parent ~stage ~start_us ~end_us =
-  let slot = t.total mod t.cap in
-  t.trace_ids.(slot) <- trace_id;
-  t.span_ids.(slot) <- span_id;
-  t.parents.(slot) <- parent;
-  t.stages.(slot) <- stage;
-  t.starts.(slot) <- start_us;
-  t.ends.(slot) <- end_us;
-  t.total <- t.total + 1
+  Ring.push t.ring { trace_id; span_id; parent; stage; start_us; end_us }
 
-let length t = min t.total t.cap
-let total t = t.total
-let dropped t = t.total - length t
-
-let get t i =
-  let first = t.total - length t in
-  let slot = (first + i) mod t.cap in
-  {
-    trace_id = t.trace_ids.(slot);
-    span_id = t.span_ids.(slot);
-    parent = t.parents.(slot);
-    stage = t.stages.(slot);
-    start_us = t.starts.(slot);
-    end_us = t.ends.(slot);
-  }
-
-let iter t ~f =
-  for i = 0 to length t - 1 do
-    f (get t i)
-  done
-
-let to_list t =
-  let acc = ref [] in
-  iter t ~f:(fun s -> acc := s :: !acc);
-  List.rev !acc
-
+let length t = Ring.length t.ring
+let total t = Ring.total t.ring
+let dropped t = Ring.dropped t.ring
+let iter t ~f = Ring.iter t.ring ~f
+let to_list t = Ring.to_list t.ring
 let duration_us s = max 0 (s.end_us - s.start_us)

@@ -27,7 +27,7 @@
     determinism these streams depend only on the program — not on the
     schedule, the cache, or mid-run repartitioning.  A {!detached} engine
     {!attach}ed to every machine a run creates (e.g. through
-    {!Ccs_sched.Adapt.run}'s [prepare]) survives checkpointed migration,
+    {!Ccs_sched.Supervisor.run}'s [prepare]) survives checkpointed migration,
     because {!Ccs_exec.Machine.migrate} carries channel token counts and
     the token values were never machine state; {!mismatches} against an
     undisturbed reference run is then the bit-exactness verdict. *)

@@ -3,43 +3,32 @@
     online.
 
     The paper's bounds (Lemmas 4 and 8) hold for the cache a plan was built
-    for.  This module closes the loop when that assumption breaks at run
-    time: it drives the machine epoch by epoch (like {!Supervisor}), and at
-    every epoch boundary compares an EWMA of the {e measured}
-    misses-per-input (read from the [ccs_cache_misses] series of an
-    attached {!Ccs_obs.Metrics} registry, or from the machine directly)
-    against the live plan's predicted Lemma-4/8 bound.  When the ratio
-    exceeds a threshold for [patience] consecutive epochs, it climbs a
-    two-rung ladder:
+    for.  This module is the policy that closes the loop when that
+    assumption breaks at run time; {!Supervisor.run} is the epoch loop that
+    consults it.  After every epoch the loop hands the measured misses and
+    inputs to {!detect}, which compares an EWMA of the misses-per-input
+    against the live plan's predicted bound.  A ratio above threshold for
+    [patience] consecutive epochs climbs a two-rung ladder:
 
-    + {b graceful degradation} — the next epoch runs the partition-free
-      latest-first fallback schedule on the {e same} machine: no planning
-      latency, no buffered state lost (the capacities are unchanged), at
-      the price of cache-oblivious execution for one epoch;
+    + {b graceful degradation} — the next epochs run the partition-free
+      latest-first fallback ({!epoch_plan}) on the {e same} machine: no
+      planning latency, no buffered state lost;
     + {b online repartitioning} — [repartition_delay] epochs later the
-      "background" replan completes: the planner is invoked for the
-      estimated effective capacity, a post-mortem checkpoint is saved, a
-      fresh machine is built for the new plan (under the environment's
-      actual cache config) and execution state migrates onto it via
-      {!Ccs_exec.Machine.migrate} — firing counts, channel contents and
-      cumulative miss totals all carry over; only cache residency is
-      forfeit.
+      background replan is {!due} and {!migrate} moves execution onto a
+      machine built for a plan for the estimated effective capacity —
+      firing counts, channel contents and cumulative miss totals carry
+      over; only cache residency is forfeit.
 
     The effective capacity is {e estimated}, never read from the chaos
     plan: each sustained breach halves the assumption, converging to
     within 2x of the truth — inside the constant-factor augmentation the
-    paper's results already tolerate.  With [probe_restore] the reverse
-    ladder runs too: measured misses far {e below} the current bound for
-    [patience] epochs probe one doubling back up.
+    paper's results already tolerate.  With [probe_restore], headroom far
+    below the bound for [patience] epochs probes one doubling back up.
 
-    Adverse conditions themselves come from a {!Ccs_exec.Fault.env} chaos
-    plan: cache shrinks/restores and associativity changes are imposed on
-    the machine ({!Ccs_exec.Machine.resize_cache}), demand bursts multiply
-    the epoch workload, and I/O-fault windows make checkpoint writes fail
-    (they are counted and logged, and the run continues — fault
-    containment, not fault amplification).  The whole loop is
-    deterministic: same seed, same graph, same planner — bit-identical
-    metrics. *)
+    The {!state} is an immutable value, so the loop can hold the state it
+    had at a checkpoint and roll back to it after a fault.  It is not in
+    the checkpoint file, which is why an adapting run cannot resume from
+    disk. *)
 
 type planned = { plan : Plan.t; predicted_mpi : float }
 (** A plan together with its Lemma-4/8 predicted misses per input
@@ -71,9 +60,10 @@ type policy = {
 
 val default_policy : policy
 
-type action = Degrade | Repartition | Probe_restore
+type t = { policy : policy; planner : planner }
+(** The adaptation argument of {!Supervisor.run}. *)
 
-val action_to_string : action -> string
+type action = Degrade | Repartition | Probe_restore
 
 type event = {
   at_epoch : int;
@@ -83,65 +73,65 @@ type event = {
   assumed_words : int;  (** Effective capacity assumed after the step. *)
 }
 
-type report = {
-  result : Runner.result;
-  epochs : int;  (** Epochs actually driven (bursts shorten the count). *)
-  epoch_outputs : int;
-  adaptations : event list;  (** In occurrence order. *)
-  chaos_events : int;  (** Environment events applied to the machine. *)
-  io_faults : int;  (** Checkpoint writes lost to fault windows. *)
-  checkpoints_written : int;
-  final_plan : Plan.t;
-  final_predicted_mpi : float;
-  assumed_cache_words : int;
-}
+type state
+(** The live plan, the assumed effective capacity, the EWMA detector, the
+    ladder (degraded flag, pending replan, cooldown) and the events so far. *)
 
-val run :
-  ?policy:policy ->
-  ?env:Ccs_exec.Fault.env ->
-  ?adapt:bool ->
-  ?checkpoint_dir:string ->
-  ?checkpoint_every:int ->
-  ?epoch_outputs:int ->
-  ?counters:Ccs_obs.Counters.t ->
-  ?tracer:Ccs_obs.Tracer.t ->
+val start :
   ?metrics:Ccs_obs.Metrics.t ->
   ?log:Ccs_obs.Log.t ->
-  ?prepare:(Ccs_exec.Machine.t -> unit) ->
-  ?on_epoch:(epoch:int -> machine:Ccs_exec.Machine.t -> unit) ->
+  t option ->
   graph:Ccs_sdf.Graph.t ->
   cache:Ccs_cache.Cache.config ->
-  planner:planner ->
-  outputs:int ->
-  unit ->
-  (report, Ccs_sdf.Error.t) result
-(** Drive [outputs] sink firings under the chaos environment [env]
-    (default none), adapting when [adapt] (default [true]).  With
-    [adapt:false] the chaos is still applied but the initial plan runs to
-    the end — the "stale plan" arm of the experiments.
+  plan:Plan.t ->
+  state
+(** The state at the start of a run of [plan] on the nominal [cache].
+    With [None] the ladder never moves: {!live} stays [plan] and {!due} and
+    {!detect} are no-ops.  Otherwise the planner is asked for [cache] to
+    learn the plan's predicted bound, [metrics] registers the [ccs_adapt_*]
+    series and [log] receives one [adaptation] event per ladder step.
+    @raise Invalid_argument on an invalid policy, or when [plan] is not the
+    planner's plan for [cache]. *)
 
-    [cache] is the {e nominal} configuration: the initial machine uses it,
-    the planner is first invoked with it, and chaos conditions are imposed
-    relative to it.  [prepare] runs on every machine this loop creates —
-    the initial one and every migration target — so fire hooks survive
-    repartitioning.  [on_epoch] fires after each completed epoch.
+val live : state -> planned
+(** The plan the run is on (the fallback drives with its capacities while
+    degraded). *)
 
-    Checkpoints are written every [checkpoint_every] epochs (default 4)
-    plus one before each migration, except during injected I/O-fault
-    windows (counted in the report instead).  Log events: [run_start],
-    [chaos], [burst], [adaptation], [checkpoint], [checkpoint_io_fault],
-    [epoch], [run_end] — epochs and adaptations carry the live plan's
-    {!Plan.id}.
+val events : state -> event list
+(** Ladder steps taken, in occurrence order. *)
 
-    Errors surface structurally ([Deadlocked], [Budget_exhausted],
-    checkpoint I/O, …); this loop does not retry — stacking retry on top
-    belongs to {!Supervisor}. *)
+val epoch_plan : state -> Plan.t
+(** The plan to drive the next epoch with: the live plan, or while degraded
+    the latest-first fallback at the live plan's capacities. *)
 
-val fallback_plan : Ccs_sdf.Graph.t -> capacities:int array -> Plan.t
-(** The rung-1 conservative fallback: latest-first dynamic driving at the
-    given capacities — legal on any machine whose plan passed
-    {!Plan.validate} (it is the strategy {!Ccs_sdf.Minbuf} certifies), and
-    exported for tests. *)
+val due : state -> state * int option
+(** Count the pending background replan down one epoch boundary; [Some
+    words] when it completes at this boundary and {!migrate} must run with
+    [Repartition] for [words]. *)
+
+val detect :
+  state -> epoch:int -> misses:int -> inputs:int -> state * int option
+(** Feed one completed epoch's measured misses and source inputs to the
+    detector.  May step the ladder (degrade, scheduling a replan).
+    [Some words] asks the caller to {!migrate} with [Probe_restore] now.
+    [epoch] labels events. *)
+
+val migrate :
+  state ->
+  action ->
+  words:int ->
+  epoch:int ->
+  post_mortem:(Ccs_exec.Machine.t -> unit) ->
+  fresh:(Plan.t -> Ccs_exec.Machine.t) ->
+  Ccs_exec.Machine.t ->
+  state * Ccs_exec.Machine.t
+(** Complete a replan for [words] of effective capacity: fire the machine
+    to a whole period so every channel is back in its delay state, hand it
+    to [post_mortem] (a checkpoint write), plan for [words], build the new
+    machine with [fresh] (its capacities widened to hold the buffered
+    tokens) and migrate execution onto it.  Returns the new state and the
+    machine to continue on.
+    @raise Ccs_sdf.Error.Error ([Deadlocked]) if the period cannot be
+    completed. *)
 
 val pp_event : Format.formatter -> event -> unit
-val pp_report : Format.formatter -> report -> unit

@@ -20,22 +20,8 @@ let run ?(events = false) ?event_limit ~graph ~cache ~plan ~outputs () =
   let tracer =
     if events then Some (Tracer.create ?limit:event_limit ()) else None
   in
-  let machine =
-    Machine.create ~counters ?tracer ~graph ~cache
-      ~capacities:plan.Plan.capacities ()
-  in
-  plan.Plan.drive machine ~target_outputs:outputs;
-  let result =
-    {
-      Runner.plan_name = plan.Plan.name;
-      inputs = Machine.source_inputs machine;
-      outputs = Machine.sink_outputs machine;
-      misses = Machine.misses machine;
-      accesses = Cache.accesses (Machine.cache machine);
-      misses_per_input = Machine.misses_per_input machine;
-      buffer_words = Plan.buffer_words plan;
-      address_space_words = Machine.address_space_words machine;
-    }
+  let result, machine =
+    Runner.run ~counters ?tracer ~graph ~cache ~plan ~outputs ()
   in
   { result; machine; counters; tracer }
 

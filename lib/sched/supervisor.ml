@@ -7,6 +7,8 @@ module Tracer = Ccs_obs.Tracer
 module Metrics = Ccs_obs.Metrics
 module Log = Ccs_obs.Log
 module Json = Ccs_obs.Json
+module Cache = Ccs_cache.Cache
+module Fault = Ccs_exec.Fault
 
 type config = {
   checkpoint_every : int;
@@ -26,6 +28,10 @@ type report = {
   resumed_from : int option;
   retries : int;
   logical_delay : int;
+  chaos_events : int;
+  io_faults : int;
+  adaptations : Adapt.event list;
+  final_plan : Plan.t;
 }
 
 (* --- epoch geometry ------------------------------------------------------- *)
@@ -47,15 +53,24 @@ let default_epoch_outputs ~graph ~plan =
           | _ -> 1)
       | Error _ -> 1)
 
-(* Epoch [i] (0-based) drives the machine to this cumulative sink target.
-   The sequence is a pure function of (outputs, epoch_outputs), so a killed
-   and resumed run replays exactly the targets of an uninterrupted one —
-   the foundation of the bit-identical resume property. *)
-let epoch_target ~outputs ~epoch_outputs i = min outputs ((i + 1) * epoch_outputs)
-
-let num_epochs ~outputs ~epoch_outputs =
-  if outputs <= 0 then 0
-  else (outputs + epoch_outputs - 1) / epoch_outputs
+(* The environment's effect on the first [k] epochs: the cumulative sink
+   target they reach, the cache configuration in force after them, and how
+   often it changed.  A pure function of (env, cache, outputs,
+   epoch_outputs), so a resumed or rolled-back run replays exactly the
+   targets and cache changes of an uninterrupted one — the foundation of
+   the bit-identical resume property. *)
+let replay ~env ~cache ~outputs ~epoch_outputs k =
+  let rec go i produced applied changes =
+    if i = k then (produced, applied, changes)
+    else
+      let c = Fault.conditions_at env i in
+      let eff = Fault.env_cache_config cache c in
+      go (i + 1)
+        (min outputs (produced + (epoch_outputs * c.Fault.burst_mult)))
+        eff
+        (if eff <> applied then changes + 1 else changes)
+  in
+  go 0 0 cache 0
 
 (* --- checkpoint files ----------------------------------------------------- *)
 
@@ -80,13 +95,17 @@ let list_checkpoints dir =
 let latest_checkpoint dir =
   match List.rev (list_checkpoints dir) with [] -> None | c :: _ -> Some c
 
-let prune ~keep dir =
+(* After epoch [upto]'s checkpoint is written, keep the newest [keep]
+   checkpoints up to it.  Checkpoints past [upto] were left by an earlier
+   run in the same directory: removing them keeps this run's restore point
+   (and the one a later resume picks) its own. *)
+let prune ~keep ~upto dir =
   let all = list_checkpoints dir in
-  let excess = List.length all - keep in
-  if excess > 0 then
-    List.iteri
-      (fun i (_, path) -> if i < excess then try Sys.remove path with _ -> ())
-      all
+  let older = List.length (List.filter (fun (e, _) -> e <= upto) all) in
+  List.iteri
+    (fun i (e, path) ->
+      if e > upto || i < older - keep then try Sys.remove path with _ -> ())
+    all
 
 (* --- fault identity ------------------------------------------------------- *)
 
@@ -98,12 +117,12 @@ let site_of_error = function
       Printf.sprintf "%s/%s" node (E.fault_class_to_string fault)
   | e -> E.code e
 
-type attempt = { site : string; firing : int }
-
 (* --- telemetry ------------------------------------------------------------ *)
 
 type smetrics = {
   s_epochs : Metrics.counter;
+  s_chaos : Metrics.counter;
+  s_io_faults : Metrics.counter;
   s_epoch_ticks : Metrics.histogram;
   s_retries : Metrics.counter;
   s_rollbacks : Metrics.counter;
@@ -112,35 +131,56 @@ type smetrics = {
 }
 
 let make_smetrics reg =
+  let counter name help =
+    Metrics.counter reg ~help ("ccs_supervisor_" ^ name ^ "_total")
+  in
   {
-    s_epochs =
-      Metrics.counter reg ~help:"Supervisor epochs completed"
-        "ccs_supervisor_epochs_total";
+    s_epochs = counter "epochs" "Supervisor epochs completed";
+    s_chaos = counter "chaos_events" "Chaos environment cache changes applied";
+    s_io_faults =
+      counter "io_faults" "Checkpoint writes lost to injected I/O faults";
     s_epoch_ticks =
       Metrics.histogram reg
         ~help:"Logical duration of each completed epoch (cache accesses)"
         "ccs_supervisor_epoch_ticks";
-    s_retries =
-      Metrics.counter reg ~help:"Faulted epochs re-executed"
-        "ccs_supervisor_retries_total";
+    s_retries = counter "retries" "Faulted epochs re-executed";
     s_rollbacks =
-      Metrics.counter reg
-        ~help:"Machine rollbacks to a checkpoint or pristine state"
-        "ccs_supervisor_rollbacks_total";
-    s_quarantines =
-      Metrics.counter reg ~help:"Runs stopped by fault quarantine"
-        "ccs_supervisor_quarantines_total";
+      counter "rollbacks" "Machine rollbacks to a checkpoint or pristine state";
+    s_quarantines = counter "quarantines" "Runs stopped by fault quarantine";
     s_backoff =
-      Metrics.counter reg
-        ~help:"Logical backoff delay charged across retries"
-        "ccs_supervisor_backoff_ticks_total";
+      counter "backoff_ticks" "Logical backoff delay charged across retries";
   }
 
-(* --- the supervisor ------------------------------------------------------- *)
+(* --- the epoch loop ---------------------------------------------------------
+
+   One loop drives every supervised run, with or without a chaos
+   environment and adaptation.  An epoch runs these steps in order:
+
+     1. chaos: impose the environment's cache configuration;
+     2. replan: a background replan that is due migrates the machine;
+     3. target: the epoch's cumulative sink target (bursts multiply it);
+     4. drive: the watchdog drives the epoch's plan to the target;
+     5. checkpoint: every [checkpoint_every] epochs and at the end, unless
+        the environment fails checkpoint I/O;
+     6. detect: the adaptation policy reads the epoch's misses per input.
+
+   A structured fault in steps 1-6 rolls the run back to its restore
+   point and retries the epoch.  A restore point is the last checkpoint
+   this run wrote (or resumed from) together with what the file does not
+   hold — the adaptation state, and the detection its epoch still owes
+   because step 6 follows step 5 — or else the start of the run.  Epoch
+   targets and cache configurations are recomputed by [replay]. *)
+
+type restore_point = {
+  at_epoch : int;
+  path : string option; (* [None]: the start of the run *)
+  adapt_state : Adapt.state;
+  owed : (int * int) option; (* the epoch's (misses, inputs) sample *)
+}
 
 let run ?(config = default_config) ?checkpoint_dir ?(resume = false)
-    ?epoch_outputs ?counters ?tracer ?metrics ?log ?prepare ?on_epoch ~graph
-    ~cache ~plan ~outputs () =
+    ?epoch_outputs ?(env = []) ?adapt ?counters ?tracer ?metrics ?log ?prepare
+    ?on_epoch ~graph ~cache ~plan ~outputs () =
   if config.checkpoint_every <= 0 then
     invalid_arg "Supervisor.run: checkpoint_every must be positive";
   if config.max_retries < 0 then
@@ -154,147 +194,242 @@ let run ?(config = default_config) ?checkpoint_dir ?(resume = false)
         k
     | None -> default_epoch_outputs ~graph ~plan
   in
-  let total_epochs = num_epochs ~outputs ~epoch_outputs in
   let sm = Option.map make_smetrics metrics in
+  let bump f = Option.iter (fun m -> Metrics.inc (f m)) sm in
   let ev level event fields =
-    match log with Some l -> Log.log l level event fields | None -> ()
+    Option.iter (fun l -> Log.log l level event fields) log
   in
-  let plan_digest = Plan.id plan in
+  let replay = replay ~env ~cache ~outputs ~epoch_outputs in
   E.protect (fun () ->
+      if resume && adapt <> None then
+        invalid_arg
+          "Supervisor.run: an adapting run cannot resume, its adaptation \
+           state is not in the checkpoint";
       Option.iter Ccs_sdf.Binio.ensure_dir checkpoint_dir;
+      let adapt0 = Adapt.start ?metrics ?log adapt ~graph ~cache ~plan in
       ev Log.Info "run_start"
         [
           ("plan", Json.String plan.Plan.name);
-          ("plan_digest", Json.String plan_digest);
+          ("plan_digest", Json.String (Plan.id plan));
           ("outputs", Json.Int outputs);
-          ("epochs", Json.Int total_epochs);
           ("epoch_outputs", Json.Int epoch_outputs);
+          ("chaos", Json.String (Fault.env_to_string env));
+          ("adapt", Json.Bool (adapt <> None));
         ];
-      let fresh_machine () =
+      let fresh_machine ~cfg plan =
         let machine =
-          Machine.create ?counters ?tracer ?metrics ~graph ~cache
+          Machine.create ?counters ?tracer ?metrics ~graph ~cache:cfg
             ~capacities:plan.Plan.capacities ()
         in
-        (match prepare with Some f -> f machine | None -> ());
+        Option.iter (fun f -> f machine) prepare;
         machine
       in
-      let checkpoints_written = ref 0 in
-      let save_checkpoint machine ~epoch =
+      (* The loop's state; a rollback resets every field. *)
+      let epoch = ref 0 and produced = ref 0 and applied = ref cache in
+      let set_epoch k =
+        let p, cfg, _ = replay k in
+        epoch := k;
+        produced := p;
+        applied := cfg
+      in
+      let resume_from =
+        let latest = Option.bind checkpoint_dir latest_checkpoint in
+        match if resume then latest else None with
+        | Some (k, path) ->
+            let ckpt =
+              match Checkpoint.load ?metrics ~path () with
+              | Error e -> E.fail e
+              | Ok ckpt -> ckpt
+            in
+            if ckpt.Checkpoint.plan_name <> plan.Plan.name then
+              E.fail
+                (E.Checkpoint_mismatch
+                   {
+                     path;
+                     field = "plan";
+                     expected = ckpt.Checkpoint.plan_name;
+                     found = plan.Plan.name;
+                   });
+            set_epoch k;
+            Some (k, path, ckpt)
+        | None -> None
+      in
+      let machine = ref (fresh_machine ~cfg:!applied plan) in
+      let adapt_state = ref adapt0 and owed = ref None in
+      let live_plan () = (Adapt.live !adapt_state).Adapt.plan in
+      let restore =
+        ref { at_epoch = 0; path = None; adapt_state = adapt0; owed = None }
+      in
+      Option.iter
+        (fun (k, path, ckpt) ->
+          Result.iter_error E.fail (Checkpoint.restore ~path ckpt !machine);
+          restore := { !restore with at_epoch = k; path = Some path };
+          ev Log.Info "resume"
+            [ ("epoch", Json.Int k); ("path", Json.String path) ])
+        resume_from;
+      let checkpoints_written = ref 0 and io_faults = ref 0 in
+      let save ~io_ok ~name m =
         match checkpoint_dir with
-        | None -> ()
+        | None -> None
+        | Some _ when not io_ok ->
+            incr io_faults;
+            bump (fun m -> m.s_io_faults);
+            ev Log.Warn "checkpoint_io_fault" [ ("epoch", Json.Int !epoch) ];
+            None
         | Some dir ->
-            let path = Filename.concat dir (ckpt_name epoch) in
+            let path = Filename.concat dir name in
             Checkpoint.save ?metrics ~path
-              (Checkpoint.capture ~plan_name:plan.Plan.name ~epoch machine);
+              (Checkpoint.capture ~plan_name:(live_plan ()).Plan.name
+                 ~epoch:!epoch m);
             incr checkpoints_written;
             ev Log.Info "checkpoint"
-              [ ("epoch", Json.Int epoch); ("path", Json.String path) ];
-            prune ~keep:config.keep dir
+              [ ("epoch", Json.Int !epoch); ("path", Json.String path) ];
+            Some path
       in
-      (* Roll the machine back to the last durable state: the most recent
-         checkpoint if one exists, a pristine machine otherwise.  Counters
-         and tracer are restored (or reset) along with it so the replayed
-         epochs are indistinguishable from a first execution. *)
+      (* Counters and tracer are restored (or reset) along with the machine
+         so the replayed epochs are indistinguishable from a first
+         execution. *)
       let rollback () =
-        (match sm with Some m -> Metrics.inc m.s_rollbacks | None -> ());
-        let machine = fresh_machine () in
-        match Option.map latest_checkpoint checkpoint_dir with
-        | Some (Some (epoch, path)) -> (
-            match Checkpoint.load_into ?metrics ~path machine with
-            | Ok _ ->
-                ev Log.Warn "rollback"
-                  [ ("to_epoch", Json.Int epoch); ("path", Json.String path) ];
-                (machine, epoch)
-            | Error e -> E.fail e)
-        | _ ->
+        bump (fun m -> m.s_rollbacks);
+        let r = !restore in
+        set_epoch r.at_epoch;
+        adapt_state := r.adapt_state;
+        owed := r.owed;
+        machine := fresh_machine ~cfg:!applied (live_plan ());
+        match r.path with
+        | Some path ->
+            Result.iter_error E.fail
+              (Checkpoint.load_into ?metrics ~path !machine);
+            ev Log.Warn "rollback"
+              [ ("to_epoch", Json.Int r.at_epoch); ("path", Json.String path) ]
+        | None ->
             Option.iter Counters.reset counters;
-            Option.iter (fun tr -> Tracer.restore tr ~clock:0 ~dropped:0) tracer;
-            ev Log.Warn "rollback" [ ("to_epoch", Json.Int 0) ];
-            (machine, 0)
+            Option.iter
+              (fun tr -> Tracer.restore tr ~clock:0 ~dropped:0)
+              tracer;
+            ev Log.Warn "rollback" [ ("to_epoch", Json.Int 0) ]
       in
-      let machine = ref (fresh_machine ()) in
-      let start_epoch = ref 0 in
-      let resumed_from = ref None in
-      (if resume then
-         match Option.map latest_checkpoint checkpoint_dir with
-         | Some (Some (epoch, path)) -> (
-             match Checkpoint.load ?metrics ~path () with
-             | Error e -> E.fail e
-             | Ok ckpt ->
-                 if ckpt.Checkpoint.plan_name <> plan.Plan.name then
-                   E.fail
-                     (E.Checkpoint_mismatch
-                        {
-                          path;
-                          field = "plan";
-                          expected = ckpt.Checkpoint.plan_name;
-                          found = plan.Plan.name;
-                        });
-                 (match Checkpoint.restore ~path ckpt !machine with
-                 | Error e -> E.fail e
-                 | Ok () -> ());
-                 start_epoch := epoch;
-                 resumed_from := Some epoch;
-                 ev Log.Info "resume"
-                   [ ("epoch", Json.Int epoch); ("path", Json.String path) ])
-         | _ -> ());
-      let retries = ref 0 in
-      let logical_delay = ref 0 in
-      let last_attempt = ref None in
-      let epoch = ref !start_epoch in
-      while !epoch < total_epochs do
-        let target = epoch_target ~outputs ~epoch_outputs !epoch in
+      let replan action ~io_ok words =
+        let st, m =
+          Adapt.migrate !adapt_state action ~words ~epoch:!epoch
+            ~post_mortem:(fun m ->
+              let name = Printf.sprintf "migrate-%09d.ccsckpt" !epoch in
+              ignore (save ~io_ok ~name m))
+            ~fresh:(fresh_machine ~cfg:!applied)
+            !machine
+        in
+        adapt_state := st;
+        machine := m
+      in
+      let detect (misses, inputs) =
+        let st, probe =
+          Adapt.detect !adapt_state ~epoch:!epoch ~misses ~inputs
+        in
+        adapt_state := st;
+        let io_ok =
+          not (Fault.conditions_at env (!epoch - 1)).Fault.io_faulty
+        in
+        Option.iter (replan Adapt.Probe_restore ~io_ok) probe
+      in
+      (* Steps 1-6 of epoch [!epoch]; raises on a structured fault. *)
+      let run_epoch () =
+        Option.iter detect !owed;
+        owed := None;
+        let i = !epoch in
+        let c = Fault.conditions_at env i in
+        let io_ok = not c.Fault.io_faulty in
+        let eff = Fault.env_cache_config cache c in
+        if eff <> !applied then begin
+          Machine.resize_cache !machine eff;
+          applied := eff;
+          bump (fun m -> m.s_chaos);
+          ev Log.Warn "chaos"
+            [
+              ("epoch", Json.Int i);
+              ("cache_words", Json.Int eff.Cache.size_words);
+            ]
+        end;
+        let st, due = Adapt.due !adapt_state in
+        adapt_state := st;
+        Option.iter (replan Adapt.Repartition ~io_ok) due;
+        let target =
+          min outputs (!produced + (epoch_outputs * c.Fault.burst_mult))
+        in
+        if c.Fault.burst_mult > 1 then
+          ev Log.Warn "burst"
+            [ ("epoch", Json.Int i); ("mult", Json.Int c.Fault.burst_mult) ];
+        let epoch_plan = Adapt.epoch_plan !adapt_state in
+        let misses_before = Machine.misses !machine in
+        let inputs_before = Machine.source_inputs !machine in
         (* Logical epoch duration: the cache access count is the machine's
            logical clock (one tick per simulated access). *)
-        let ticks_before = Ccs_cache.Cache.accesses (Machine.cache !machine) in
-        match Watchdog.drive ?metrics !machine ~plan ~outputs:target with
-        | Ok () ->
-            let completed = !epoch + 1 in
-            (match sm with
-            | Some m ->
-                Metrics.inc m.s_epochs;
-                Metrics.observe m.s_epoch_ticks
-                  (Ccs_cache.Cache.accesses (Machine.cache !machine)
-                  - ticks_before)
-            | None -> ());
-            Machine.sync_metrics !machine;
-            if
-              checkpoint_dir <> None
-              && (completed mod config.checkpoint_every = 0
-                 || completed = total_epochs)
-            then save_checkpoint !machine ~epoch:completed;
-            ev Log.Info "epoch"
-              [
-                ("epoch", Json.Int completed);
-                ("target", Json.Int target);
-                ("fires", Json.Int (Machine.total_fires !machine));
-                ("misses", Json.Int (Machine.misses !machine));
-              ];
-            (match on_epoch with
-            | Some f -> f ~epoch:completed ~machine:!machine
-            | None -> ());
-            last_attempt := None;
-            epoch := completed
-        | Error cause ->
+        let ticks_before = Cache.accesses (Machine.cache !machine) in
+        Result.iter_error E.fail
+          (Watchdog.drive ?metrics !machine ~plan:epoch_plan ~outputs:target);
+        Option.iter
+          (fun m ->
+            Metrics.inc m.s_epochs;
+            Metrics.observe m.s_epoch_ticks
+              (Cache.accesses (Machine.cache !machine) - ticks_before))
+          sm;
+        Machine.sync_metrics !machine;
+        produced := target;
+        epoch := i + 1;
+        (* Detection reads the epoch's misses from the live registry when
+           one is attached, falling back to the machine's own counter. *)
+        let misses_now =
+          match
+            Option.bind metrics (fun reg ->
+                Metrics.value reg "ccs_cache_misses")
+          with
+          | Some v -> v
+          | None -> Machine.misses !machine
+        in
+        let sample =
+          ( misses_now - misses_before,
+            Machine.source_inputs !machine - inputs_before )
+        in
+        if !epoch mod config.checkpoint_every = 0 || target >= outputs then
+          Option.iter
+            (fun path ->
+              restore :=
+                {
+                  at_epoch = !epoch;
+                  path = Some path;
+                  adapt_state = !adapt_state;
+                  owed = Some sample;
+                };
+              Option.iter
+                (prune ~keep:config.keep ~upto:!epoch)
+                checkpoint_dir)
+            (save ~io_ok ~name:(ckpt_name !epoch) !machine);
+        detect sample;
+        ev Log.Info "epoch"
+          [
+            ("epoch", Json.Int !epoch);
+            ("target", Json.Int target);
+            ("fires", Json.Int (Machine.total_fires !machine));
+            ("misses", Json.Int (Machine.misses !machine));
+            ("plan_digest", Json.String (Plan.id epoch_plan));
+          ]
+      in
+      let retries = ref 0 and logical_delay = ref 0 in
+      let last_attempt = ref None in
+      while !produced < outputs do
+        match run_epoch () with
+        | () ->
+            Option.iter (fun f -> f ~epoch:!epoch ~machine:!machine) on_epoch;
+            last_attempt := None
+        | exception E.Error cause ->
             let firing = Machine.total_fires !machine in
             let site = site_of_error cause in
-            let attempt = { site; firing } in
-            let deterministic =
-              match !last_attempt with
-              | Some prev -> prev = attempt
-              | None -> false
-            in
             incr retries;
-            (match sm with Some m -> Metrics.inc m.s_retries | None -> ());
-            let quarantine () =
-              let checkpoint =
-                match Option.map latest_checkpoint checkpoint_dir with
-                | Some (Some (_, path)) -> Some path
-                | _ -> None
-              in
-              (match sm with
-              | Some m -> Metrics.inc m.s_quarantines
-              | None -> ());
+            bump (fun m -> m.s_retries);
+            if !last_attempt = Some (site, firing)
+               || !retries > config.max_retries
+            then begin
+              bump (fun m -> m.s_quarantines);
+              let plan_digest = Plan.id (live_plan ()) in
               ev Log.Error "quarantine"
                 [
                   ("site", Json.String site);
@@ -306,25 +441,22 @@ let run ?(config = default_config) ?checkpoint_dir ?(resume = false)
               E.fail
                 (E.Quarantined
                    {
-                     plan = plan.Plan.name;
+                     plan = (live_plan ()).Plan.name;
                      plan_digest = Some plan_digest;
                      site;
                      firing;
                      attempts = !retries;
-                     checkpoint;
+                     checkpoint = !restore.path;
                      cause;
                    })
-            in
-            if deterministic || !retries > config.max_retries then quarantine ();
-            last_attempt := Some attempt;
+            end;
+            last_attempt := Some (site, firing);
             (* Logical-time backoff: doubling per consecutive retry.  The
                simulator has no wall clock, so the delay is accounted, not
                slept. *)
             let backoff = config.backoff_base lsl min 20 (!retries - 1) in
             logical_delay := !logical_delay + backoff;
-            (match sm with
-            | Some m -> Metrics.add m.s_backoff backoff
-            | None -> ());
+            Option.iter (fun m -> Metrics.add m.s_backoff backoff) sm;
             ev Log.Warn "retry"
               [
                 ("site", Json.String site);
@@ -333,12 +465,15 @@ let run ?(config = default_config) ?checkpoint_dir ?(resume = false)
                 ("backoff", Json.Int backoff);
                 ("cause", Json.String (E.code cause));
               ];
-            let m, ckpt_epoch = rollback () in
-            machine := m;
-            epoch := ckpt_epoch
+            rollback ()
       done;
+      (* A rollback onto the final checkpoint still owes its detection. *)
+      Option.iter detect !owed;
       Machine.sync_metrics !machine;
-      let result = Runner.result_of ~plan !machine in
+      let final_plan = live_plan () in
+      let result = Runner.result_of ~plan:final_plan !machine in
+      let adaptations = Adapt.events !adapt_state in
+      let _, _, chaos_events = replay !epoch in
       ev Log.Info "run_end"
         [
           ("outputs", Json.Int result.Runner.outputs);
@@ -346,23 +481,38 @@ let run ?(config = default_config) ?checkpoint_dir ?(resume = false)
           ("retries", Json.Int !retries);
           ("checkpoints", Json.Int !checkpoints_written);
           ("logical_delay", Json.Int !logical_delay);
-          ("plan_digest", Json.String plan_digest);
+          ("adaptations", Json.Int (List.length adaptations));
+          ("chaos_events", Json.Int chaos_events);
+          ("io_faults", Json.Int !io_faults);
+          ("plan_digest", Json.String (Plan.id final_plan));
         ];
       {
         result;
-        epochs = total_epochs;
+        epochs = !epoch;
         epoch_outputs;
         checkpoints_written = !checkpoints_written;
-        resumed_from = !resumed_from;
+        resumed_from = Option.map (fun (k, _, _) -> k) resume_from;
         retries = !retries;
         logical_delay = !logical_delay;
+        chaos_events;
+        io_faults = !io_faults;
+        adaptations;
+        final_plan;
       })
 
 let pp_report fmt r =
   Format.fprintf fmt
-    "epochs=%d (x%d outputs) checkpoints=%d retries=%d delay=%d%s@ %a"
+    "@[<v>epochs=%d (x%d outputs) checkpoints=%d retries=%d delay=%d%s%s%s@,"
     r.epochs r.epoch_outputs r.checkpoints_written r.retries r.logical_delay
+    (if r.chaos_events > 0 || r.io_faults > 0 then
+       Printf.sprintf " chaos=%d io_faults=%d" r.chaos_events r.io_faults
+     else "")
+    (if r.adaptations = [] then ""
+     else
+       Printf.sprintf " adaptations=%d final-plan=%s"
+         (List.length r.adaptations) (Plan.id r.final_plan))
     (match r.resumed_from with
     | Some e -> Printf.sprintf " resumed-from-epoch=%d" e
-    | None -> "")
-    Runner.pp_result r.result
+    | None -> "");
+  List.iter (Format.fprintf fmt "%a@," Adapt.pp_event) r.adaptations;
+  Format.fprintf fmt "%a@]" Runner.pp_result r.result

@@ -18,23 +18,32 @@ let sat_mul a b =
     let p = a * b in
     if p / b <> a then max_int else p
 
-(* A firing budget comfortably above any legitimate run: batch plans execute
-   whole batches of T >= M source firings even for one output, so cover the
-   target plus two batches' worth of periods, times a safety factor. *)
-let default_budget g ~cache_words ~outputs =
+(* A firing budget comfortably above any legitimate run: cover the target
+   plus two batches' worth of periods, times a safety factor.  A batch is
+   the longer of two quanta: the 2M words a batch plan sweeps per batch
+   (T >= M source firings even for one output), and the periods it takes
+   to fill the fullest channel to the plan's capacity — the half-full
+   pipeline rule buffers a whole cross channel before it drains it, and
+   those buffers can exceed the cache. *)
+let default_budget g ~plan ~cache_words ~outputs =
   match Ccs_sdf.Rates.analyze_checked g with
   | Ok a ->
-      let total_rep = Array.fold_left ( + ) 0 a.Ccs_sdf.Rates.repetition in
+      let rep = a.Ccs_sdf.Rates.repetition in
+      let total_rep = Array.fold_left ( + ) 0 rep in
       let per_period = max 1 a.Ccs_sdf.Rates.period_inputs in
       let sink_rep =
-        match Graph.sinks g with
-        | [ s ] -> max 1 a.Ccs_sdf.Rates.repetition.(s)
-        | _ -> 1
+        match Graph.sinks g with [ s ] -> max 1 rep.(s) | _ -> 1
+      in
+      let periods_to_fill e capacity =
+        let per = max 1 (rep.(Graph.src g e) * Graph.push g e) in
+        sat_add capacity (per - 1) / per
+      in
+      let periods_per_batch =
+        Array.fold_left max
+          (sat_add (sat_mul 2 cache_words) (per_period - 1) / per_period)
+          (Array.mapi periods_to_fill plan.Plan.capacities)
       in
       let periods_for_target = sat_add outputs (sink_rep - 1) / sink_rep in
-      let periods_per_batch =
-        sat_add (sat_mul 2 cache_words) (per_period - 1) / per_period
-      in
       sat_add 1024
         (sat_mul 8
            (sat_mul total_rep
@@ -54,7 +63,7 @@ let drive ?budget ?metrics machine ~plan ~outputs =
         let cache_words =
           Ccs_cache.Cache.size_words (Machine.cache machine)
         in
-        default_budget g ~cache_words ~outputs
+        default_budget g ~plan ~cache_words ~outputs
   in
   Machine.set_fire_budget machine (Some (Machine.total_fires machine + budget));
   let result =

@@ -10,13 +10,16 @@
     off the report. *)
 
 val default_budget :
-  Ccs_sdf.Graph.t -> cache_words:int -> outputs:int -> int
-(** The budget {!run} uses when none is given: a generous multiple of the
-    firings a correct plan needs for [outputs] sink firings (covering whole
-    batches of [T >= cache_words] source firings), or a node-count-based
-    fallback when rate analysis fails.  The arithmetic saturates at
-    [max_int], so extreme [cache_words]/[outputs] yield a huge positive
-    budget rather than overflowing to a negative one. *)
+  Ccs_sdf.Graph.t -> plan:Plan.t -> cache_words:int -> outputs:int -> int
+(** The budget {!drive} uses when none is given: a generous multiple of the
+    firings a correct plan needs for [outputs] sink firings, covering two
+    batches on top of the target.  A batch spans the larger of the periods
+    that source [2·cache_words] inputs and, over every channel, the periods
+    that fill it to [plan]'s capacity ([ceil(capacity / (rep(src)·push))]).
+    Without a rate analysis the budget falls back to a node-count bound.
+    The arithmetic saturates at [max_int], so extreme [cache_words],
+    capacities or [outputs] yield a huge positive budget rather than
+    overflowing to a negative one. *)
 
 val drive :
   ?budget:int ->

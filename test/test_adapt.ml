@@ -229,16 +229,17 @@ let shrink_env = F.parse_env "shrink@2:4"
 let engine_for g =
   Ccs.Engine.detached (Ccs.Program.create g (Ccs.Codegen.codegen_semantics g))
 
-let adapt_run ?(adapt = true) ?env ?metrics ?policy g cfg ~outputs =
+let adapt_run ?(adapt = true) ?env ?metrics ?(policy = Ccs.Adapt.default_policy)
+    g cfg ~outputs =
   let engine = engine_for g in
+  let planner = Ccs.Auto.adapt_planner g cfg in
+  let cache = Ccs.Config.cache_config cfg in
   match
-    Ccs.Adapt.run ?policy ?env ?metrics ~adapt
+    Ccs.Supervisor.run ?env ?metrics
+      ?adapt:(if adapt then Some { Ccs.Adapt.policy; planner } else None)
       ~epoch_outputs:(max 1 (outputs / 16))
       ~prepare:(Ccs.Engine.attach engine)
-      ~graph:g
-      ~cache:(Ccs.Config.cache_config cfg)
-      ~planner:(Ccs.Auto.adapt_planner g cfg)
-      ~outputs ()
+      ~graph:g ~cache ~plan:(planner cache).Ccs.Adapt.plan ~outputs ()
   with
   | Ok report -> (report, engine)
   | Error e -> Alcotest.failf "adapt run failed: %s" (E.to_string e)
@@ -253,9 +254,9 @@ let test_stale_vs_adapted_regression () =
     adapt_run ~adapt:false ~env:shrink_env g cfg ~outputs:8000
   in
   let adapted, _ = adapt_run ~adapt:true ~env:shrink_env g cfg ~outputs:8000 in
-  let m r = r.Ccs.Adapt.result.Ccs.Runner.misses in
+  let m r = r.Ccs.Supervisor.result.Ccs.Runner.misses in
   Alcotest.(check bool) "adaptation happened" true
-    (adapted.Ccs.Adapt.adaptations <> []);
+    (adapted.Ccs.Supervisor.adaptations <> []);
   if m adapted >= m stale then
     Alcotest.failf "adapted (%d misses) did not beat stale (%d)" (m adapted)
       (m stale)
@@ -271,7 +272,7 @@ let test_adapted_outputs_bit_exact () =
   Alcotest.(check bool) "migrated" true
     (List.exists
        (fun e -> e.Ccs.Adapt.action = Ccs.Adapt.Repartition)
-       adapted.Ccs.Adapt.adaptations);
+       adapted.Ccs.Supervisor.adaptations);
   Alcotest.(check bool) "values compared" true
     (Ccs.Engine.compared ~reference engine > 0);
   Alcotest.(check int) "bit-exact sink outputs" 0
@@ -286,7 +287,7 @@ let test_adapt_deterministic () =
     let report, _ =
       adapt_run ~adapt:true ~env:shrink_env ~metrics g cfg ~outputs:4000
     in
-    (Ccs.Metrics.to_json_string metrics, report.Ccs.Adapt.adaptations)
+    (Ccs.Metrics.to_json_string metrics, report.Ccs.Supervisor.adaptations)
   in
   let s1, a1 = snap () and s2, a2 = snap () in
   Alcotest.(check string) "identical metrics snapshots" s1 s2;
@@ -302,21 +303,22 @@ let test_io_fault_contained () =
   Sys.remove dir;
   let env = F.parse_env "shrink@2:4,iofault@0:32" in
   let engine = engine_for g in
+  let planner = Ccs.Auto.adapt_planner g cfg in
+  let cache = Ccs.Config.cache_config cfg in
   (match
-     Ccs.Adapt.run ~env ~adapt:true ~checkpoint_dir:dir ~checkpoint_every:2
-       ~epoch_outputs:250
+     Ccs.Supervisor.run ~env
+       ~adapt:{ Ccs.Adapt.policy = Ccs.Adapt.default_policy; planner }
+       ~config:{ Ccs.Supervisor.default_config with checkpoint_every = 2 }
+       ~checkpoint_dir:dir ~epoch_outputs:250
        ~prepare:(Ccs.Engine.attach engine)
-       ~graph:g
-       ~cache:(Ccs.Config.cache_config cfg)
-       ~planner:(Ccs.Auto.adapt_planner g cfg)
-       ~outputs:4000 ()
+       ~graph:g ~cache ~plan:(planner cache).Ccs.Adapt.plan ~outputs:4000 ()
    with
   | Error e -> Alcotest.failf "run failed: %s" (E.to_string e)
   | Ok report ->
       Alcotest.(check bool) "io faults counted" true
-        (report.Ccs.Adapt.io_faults > 0);
+        (report.Ccs.Supervisor.io_faults > 0);
       Alcotest.(check int) "no checkpoints written" 0
-        report.Ccs.Adapt.checkpoints_written);
+        report.Ccs.Supervisor.checkpoints_written);
   if Sys.file_exists dir then begin
     Array.iter
       (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())

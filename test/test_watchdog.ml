@@ -98,17 +98,89 @@ let test_bad_capacity_structured () =
   | Ok _ -> Alcotest.fail "undersized capacity accepted"
 
 let test_budget_saturates () =
-  (* Regression: with extreme cache sizes / output targets the budget
-     formula used to overflow to a negative value, making the very first
-     firing "exceed" it.  It must saturate at max_int instead. *)
+  (* Regression: with extreme cache sizes, capacities or output targets the
+     budget formula used to overflow to a negative value, making the very
+     first firing "exceed" it.  It must saturate at max_int instead. *)
   let g = Ccs.Generators.uniform_pipeline ~n:4 ~state:8 () in
+  let plan cap =
+    Ccs.Plan.dynamic ~name:"extreme"
+      ~capacities:(Array.make (G.num_edges g) cap)
+      (fun _ ~target_outputs:_ -> ())
+  in
   let b =
-    Ccs.Watchdog.default_budget g ~cache_words:(max_int / 2)
+    Ccs.Watchdog.default_budget g ~plan:(plan 4) ~cache_words:256
       ~outputs:(max_int / 2)
   in
   Alcotest.(check bool) "budget positive" true (b > 0);
-  let b2 = Ccs.Watchdog.default_budget g ~cache_words:max_int ~outputs:max_int in
-  Alcotest.(check int) "fully saturated" max_int b2
+  Alcotest.(check int) "capacity term saturates" max_int
+    (Ccs.Watchdog.default_budget g ~plan:(plan max_int) ~cache_words:256
+       ~outputs:1);
+  Alcotest.(check int) "fully saturated" max_int
+    (Ccs.Watchdog.default_budget g ~plan:(plan max_int) ~cache_words:max_int
+       ~outputs:max_int)
+
+(* Firings a plain, unwatched run of the planner's plan needs for
+   [outputs] sink firings, and the budget the watchdog would grant it. *)
+let plan_for g ~m =
+  (Ccs.Auto.plan g (Ccs.Config.make ~cache_words:m ~block_words:8 ()))
+    .Ccs.Auto.plan
+
+let needed_and_budget g ~plan ~m ~outputs =
+  let cache = Ccs.Cache.config ~size_words:m ~block_words:8 () in
+  let _, machine = Ccs.Runner.run ~graph:g ~cache ~plan ~outputs () in
+  ( Ccs.Machine.total_fires machine,
+    Ccs.Watchdog.default_budget g ~plan ~cache_words:m ~outputs )
+
+let test_budget_covers_dynamic_pipelines () =
+  (* Regression: these dynamic pipeline plans buffer whole 256-slot cross
+     channels before their first output, more than the cache-derived batch
+     length covered (16,742 firings needed against a 13,536 budget for
+     seed 1485). *)
+  List.iter
+    (fun seed ->
+      let g =
+        Ccs.Generators.random_pipeline ~seed ~n:8 ~max_state:12 ~max_rate:4 ()
+      in
+      let needed, budget =
+        needed_and_budget g ~plan:(plan_for g ~m:128) ~m:128 ~outputs:1
+      in
+      if needed > budget then
+        Alcotest.failf "seed %d: %d firings needed, budget %d" seed needed
+          budget)
+    [ 1485; 2606; 3014; 3189; 5162 ]
+
+let prop_budget_covers_unwatched_run =
+  QCheck2.Test.make ~count:100
+    ~name:"default budget >= firings an unwatched run needs"
+    ~print:(fun (dag, seed, n, extra, m_idx, o_idx) ->
+      Printf.sprintf "%s seed=%d n=%d extra=%d m=%d outputs=%d"
+        (if dag then "dag" else "pipeline")
+        seed n extra [| 128; 256; 512 |].(m_idx) [| 1; 7; 60 |].(o_idx))
+    QCheck2.Gen.(
+      let* dag = bool in
+      let* seed = int_range 0 10_000 in
+      let* n = int_range 2 10 in
+      let* extra = int_range 0 4 in
+      let* m_idx = int_range 0 2 in
+      let+ o_idx = int_range 0 2 in
+      (dag, seed, n, extra, m_idx, o_idx))
+    (fun (dag, seed, n, extra, m_idx, o_idx) ->
+      let g =
+        if dag then
+          Ccs.Generators.random_sdf_dag ~seed ~n:(n + 2) ~max_state:12
+            ~max_rate:4 ~extra_edges:extra ()
+        else
+          Ccs.Generators.random_pipeline ~seed ~n:(n + 2) ~max_state:12
+            ~max_rate:4 ()
+      in
+      let m = [| 128; 256; 512 |].(m_idx) in
+      match try Some (plan_for g ~m) with _ -> None with
+      | None -> QCheck2.assume_fail ()
+      | Some plan ->
+          let needed, budget =
+            needed_and_budget g ~plan ~m ~outputs:[| 1; 7; 60 |].(o_idx)
+          in
+          needed <= budget)
 
 let test_watchdog_happy_path () =
   let g = Ccs.Generators.uniform_pipeline ~n:4 ~state:8 () in
@@ -250,6 +322,9 @@ let () =
           Alcotest.test_case "bad capacity structured" `Quick
             test_bad_capacity_structured;
           Alcotest.test_case "budget saturates" `Quick test_budget_saturates;
+          Alcotest.test_case "budget covers dynamic pipelines" `Quick
+            test_budget_covers_dynamic_pipelines;
+          QCheck_alcotest.to_alcotest prop_budget_covers_unwatched_run;
           Alcotest.test_case "happy path" `Quick test_watchdog_happy_path;
         ] );
       ( "fault containment",
